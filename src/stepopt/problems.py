@@ -8,7 +8,8 @@ conditions hold at a point that is not a local minimizer.
 
 Optional vectorized hooks let the solver assemble its linear algebra without
 per-entry Python loops; module-level helpers fall back to loops when a hook
-is absent.
+is absent.  The norm-design instance also models G along a search ray, so
+the solver's line search can count violations without evaluating G.
 """
 from __future__ import annotations
 
@@ -29,6 +30,15 @@ __all__ = [
     "weighted_constraint_hessian",
 ]
 
+# Unit roundoff and smallest normal double, for the rounding bound of the
+# norm-design violation model.
+_UNIT = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
+# The model gives up when |x|^2 + |d|^2, |G(x)| + b or the model's
+# coefficients pass _SAFE_VAL: below it no intermediate of G(x + a*d),
+# a <= 1, can overflow, which the rounding bound assumes.
+_SAFE_VAL = 1e300
+
 
 @dataclass(frozen=True, kw_only=True)
 class ProblemInstance:
@@ -48,6 +58,17 @@ class ProblemInstance:
     grad_G_cols, weighted_hess_G, f_batch, G_batch : callable, optional
         Vectorized fast paths; see ``grad_columns`` and
         ``weighted_constraint_hessian`` for the loop fallbacks.
+    violations_along : callable, optional
+        ``violations_along(x, d, Z)``, with ``Z = G(x)``, models G along the
+        ray x + a*d.  It returns None when it cannot, or a function mapping
+        a 1-d array of step sizes a in [0, 1] to integer arrays (lo, hi)
+        with ``lo <= step_norm(G(x + a*d)) <= hi`` for each a.  The bounds
+        are exact statements about G as evaluated in floating point at the
+        trial point ``x + a * d``, not about its exact value, so a line
+        search that trusts them where both sit on one side of its cap
+        decides exactly as if it had called G.  As in ``step_norm``, an
+        entry exactly zero does not violate.  The hook must describe this
+        instance's own G.
     """
 
     K: int
@@ -63,6 +84,7 @@ class ProblemInstance:
     weighted_hess_G: Optional[Callable] = None
     f_batch: Optional[Callable] = None
     G_batch: Optional[Callable] = None
+    violations_along: Optional[Callable] = None
 
     def __post_init__(self):
         if self.K < 1 or self.M < 1 or self.N < 1:
@@ -163,12 +185,57 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         X = np.asarray(X, dtype=float)
         return np.einsum("pk,nmk->pmn", X * X, xi_sq) - b
 
+    def violations_along(x, d, Z):
+        # G(x + a*d) = Z + a*c1 + a^2*c2 entrywise, with c1 = 2*sum_k
+        # xi_sq*x*d and c2 = sum_k xi_sq*d^2.  In floating point every entry
+        # of G at the trial point differs from the model, evaluated below as
+        # a sum of three products, by at most
+        #     (4K + 13) * u * ((r0 + a*r2)^2 + |Z|),
+        # u the unit roundoff, r0^2 ~ |Z| + b and r2^2 ~ c2 the weighted
+        # squared norms of x and d: the trial point, the squares, the
+        # products and any order of the K-term sums each round by a
+        # relative u per operation, and Cauchy-Schwarz bounds the cross
+        # term sum_k xi_sq*|x|*|d| by r0*r2.  Since (r0 + a*r2)^2 <=
+        # 2*r0^2 + 2*a^2*r2^2, the band e0 + a^2*e2 below covers that with
+        # room left for the rounding of the band itself; the absolute term
+        # covers gradual underflow.  Rounding keeps the sign of a sum, so
+        # a column whose largest model entry clears the band on either side
+        # has that sign in G too.
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(d, dtype=float)
+        if not x @ x + d @ d <= _SAFE_VAL:
+            return None
+        coef = np.empty((3, M, N))
+        coef[0] = Z
+        np.einsum("nmk,pk->pmn", xi_sq, np.stack([2.0 * x * d, d * d]), out=coef[1:])
+        # column maxima of |Z|, |c1| and c2
+        mag = np.abs(coef).max(axis=1)
+        if not mag.max() + b <= _SAFE_VAL:
+            return None
+        c = (4 * K + 32) * _UNIT
+        e0 = (3.0 * c) * mag[0] + c * (2.0 * b + _TINY)
+        e2 = (2.0 * c) * mag[2]
+        coef = coef.reshape(3, M * N)
+
+        def counts(alphas):
+            powers = np.empty((alphas.size, 3))
+            powers[:, 0] = 1.0
+            powers[:, 1] = alphas
+            powers[:, 2] = alphas * alphas
+            top = (powers @ coef).reshape(-1, M, N).max(axis=1)
+            band = powers[:, 2:] * e2
+            band += e0
+            # comparisons are exact: top > band iff the rounded top - band > 0
+            return (top > band).sum(axis=1), N - (top < -band).sum(axis=1)
+
+        return counts
+
     return NormOptInstance(
         K=K, M=M, N=N,
         f=f, grad_f=grad_f, hess_f=hess_f,
         G=G, grad_G=grad_G, hess_G=hess_G,
         grad_G_cols=grad_G_cols, weighted_hess_G=weighted_hess_G,
-        f_batch=f_batch, G_batch=G_batch,
+        f_batch=f_batch, G_batch=G_batch, violations_along=violations_along,
         xi=xi, xi_sq=xi_sq, b=float(b),
         lambda1=float(lambda1), lambda2=float(lambda2), seed=seed,
     )

@@ -6,12 +6,16 @@ Newton step on the smoothed system, falling back to the negative residual
 when the linear solve is unreliable.  A backtracking search keeps the
 iterate's violation count within a relaxed budget (gamma + 1) * s, and the
 smoothing weight shrinks geometrically but never above a fixed multiple of
-the current residual norm.
+the current residual norm.  Problems that model G along the search ray
+(``ProblemInstance.violations_along``) let that search count violations
+without evaluating G at every trial step.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -41,6 +45,12 @@ __all__ = [
     "solve",
     "quadratic_rate_ratios",
 ]
+
+
+# The line search asks a violation model for about this many entries of G at
+# a time: every trial step at once on small problems, a few at a time on
+# large ones, so the model's temporaries stay a few times this size.
+_MODEL_CHUNK_ENTRIES = 1 << 18
 
 
 class SolverAbort(RuntimeError):
@@ -194,21 +204,55 @@ def fallback_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Acti
 
 
 def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.ndarray,
-                            s: int, gamma: float, pi: float,
-                            t_max: int = 50) -> tuple[int, float, bool]:
+                            s: int, gamma: float, pi: float, t_max: int = 50,
+                            Z: Optional[np.ndarray] = None) -> tuple[int, float, bool]:
     """Smallest backtracking exponent keeping violations within (gamma+1)*s.
 
-    Returns (t, pi**t, stalled); when no exponent up to t_max satisfies the
-    bound, the step is zero with stalled=True so the iterate never leaves
-    the relaxed budget region.
+    Returns (t, alpha, stalled) where alpha is 1.0 multiplied by pi t times
+    in turn; when no exponent up to t_max satisfies the bound, the step is
+    zero with stalled=True so the iterate never leaves the relaxed budget
+    region.  A trial point whose G is not finite counts as outside it.
+
+    The full step is tried with G itself.  Past it, a problem with a
+    ``violations_along`` hook bounds the violation count of each trial
+    step from a model of G along the ray (``Z`` is G(x), computed when not
+    given), and G is called only for a step whose bounds straddle the cap.
+    The result equals that of calling G at every trial step.
     """
     bound = (gamma + 1.0) * s
+
+    def within(alpha):
+        Zt = problem.G(x + alpha * d_x)
+        # step_norm, without its second finiteness pass
+        return bool(np.isfinite(Zt).all()) and np.count_nonzero(Zt.max(axis=0) > 0.0) <= bound
+
+    if within(1.0):
+        return 0, 1.0, False
+    steps = []
     alpha = 1.0
-    for t in range(t_max + 1):
-        if step_norm(problem.G(x + alpha * d_x)) <= bound:
-            return t, alpha, False
+    for _ in range(t_max):
         alpha *= pi
+        steps.append(alpha)
+    counts = None
+    if problem.violations_along is not None and t_max:
+        counts = problem.violations_along(x, d_x, problem.G(x) if Z is None else Z)
+    if counts is None:
+        # no model: every step is undecided and goes to G
+        count_bounds = repeat((0, math.inf))
+    else:
+        chunk = max(1, _MODEL_CHUNK_ENTRIES // (problem.M * problem.N))
+        count_bounds = _chunked(counts, steps, chunk)
+    for t, alpha, (lo, hi) in zip(range(1, t_max + 1), steps, count_bounds):
+        if hi <= bound or (lo <= bound and within(alpha)):
+            return t, alpha, False
     return t_max, 0.0, True
+
+
+def _chunked(counts, alphas, chunk):
+    """(lo, hi) violation-count bounds at each step size, ``chunk`` at a time."""
+    for first in range(0, len(alphas), chunk):
+        lo, hi = counts(np.array(alphas[first:first + chunk]))
+        yield from zip(lo.tolist(), hi.tolist())
 
 
 def solve(problem: ProblemInstance, config: SolverConfig,
@@ -232,7 +276,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         if not np.all(np.isfinite(Z)):
             raise SolverAbort("constraint evaluation produced non-finite values")
         cols = select_candidate_columns(Z + tau * W, s)
-        V = active_set(problem, PrimalDualPoint(x, W), tau, cols)
+        V = active_set(problem, PrimalDualPoint(x, W), tau, cols, Z=Z)
         F = stationarity_residual(problem, PrimalDualPoint(x, W), V, Z=Z)
         return Z, V, F, float(np.linalg.norm(F))
 
@@ -246,7 +290,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         if res < tol:
             status = "Converged"
             break
-        if it > config.max_it:
+        if it >= config.max_it:
             status = "MaxIterations"
             break
         if stall_streak >= 2:
@@ -262,7 +306,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             kind = "fallback"
 
         t, alpha, stalled = feasibility_line_search(
-            problem, x, d[:problem.K], s, gamma, config.pi, config.t_max)
+            problem, x, d[:problem.K], s, gamma, config.pi, config.t_max, Z=Z)
         stall_streak = stall_streak + 1 if stalled else 0
 
         trace.append(IterationRecord(

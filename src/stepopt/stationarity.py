@@ -123,11 +123,16 @@ class StationarityReport:
 
 
 def active_set(problem: ProblemInstance, point: PrimalDualPoint, tau: float, cols,
-               ztol: float = 0.0) -> ActiveSet:
-    """Positions (m, n) with n in cols where G(x) + tau*W is >= -ztol."""
+               ztol: float = 0.0, Z: Optional[np.ndarray] = None) -> ActiveSet:
+    """Positions (m, n) with n in cols where G(x) + tau*W is >= -ztol.
+
+    ``Z`` is G(x) when the caller has it; it is computed otherwise.
+    """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    lam = problem.G(point.x) + tau * point.W
+    if Z is None:
+        Z = problem.G(point.x)
+    lam = Z + tau * point.W
     mask = np.zeros(lam.shape, dtype=bool)
     cols = np.asarray(cols, dtype=int)
     if cols.size:
@@ -321,7 +326,7 @@ def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
 
     V_star = ActiveSet(_zero_pairs_in_cols(Z, part.zero, ztol=ztol),
                        (problem.M, problem.N))
-    U = active_set(problem, point, tau, part.zero, ztol=ztol)
+    U = active_set(problem, point, tau, part.zero, ztol=ztol, Z=Z)
     sets_match = U == V_star
 
     res = float(np.linalg.norm(stationarity_residual(problem, point, V_star, Z=Z)))

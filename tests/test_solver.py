@@ -280,7 +280,7 @@ def test_solve_uses_fallback_when_curvature_vanishes():
     res = solve(problem, SolverConfig(s=1, max_it=3))
 
     assert res.status == "MaxIterations"
-    assert len(res.trace) == 4
+    assert len(res.trace) == 3
     assert all(rec.direction_kind == "fallback" for rec in res.trace)
     # constant gradient: the residual never moves
     assert res.final_residual == pytest.approx(np.hypot(1.0, 0.5))
@@ -290,8 +290,20 @@ def test_solve_max_iterations_budget():
     problem = make_norm_opt(10, 1, 100, b=14.0, seed=17)
     res = solve(problem, SolverConfig(s=5, max_it=0, gamma=gamma_for(0.05, 5)))
     assert res.status == "MaxIterations"
-    assert res.iterations == 1
-    assert len(res.trace) == 1
+    assert res.iterations == 0
+    assert res.trace == ()
+
+
+@pytest.mark.parametrize("max_it", [0, 1, 2, 5])
+def test_solve_runs_at_most_max_it_iterations(max_it):
+    # the zero-curvature instance never converges, so only the cap stops it
+    problem = flat_problem(1, 2, [1.0, 0.5], -10.0 * np.ones((1, 2)))
+    res = solve(problem, SolverConfig(s=1, max_it=max_it))
+
+    assert res.status == "MaxIterations"
+    assert res.iterations == len(res.trace) <= max_it
+    small = solve(make_norm_opt(3, 1, 20, seed=1), SolverConfig(s=2, max_it=max_it))
+    assert small.iterations == len(small.trace) <= max_it
 
 
 def test_solve_aborts_on_nonfinite_constraints():
