@@ -20,6 +20,7 @@ from .geometry import (
     candidate_sets,
     column_partition,
     fixed_point_check,
+    is_candidate_set,
     normal_cone_member,
     project_step,
     step_norm,

@@ -30,6 +30,7 @@ __all__ = [
     "step_norm",
     "column_partition",
     "candidate_sets",
+    "is_candidate_set",
     "project_step",
     "fixed_point_check",
     "normal_cone_member",
@@ -185,6 +186,39 @@ def candidate_sets(Z, s: int, ztol: float = 0.0) -> CandidateSetFamily:
     rep_keep = set(int(c) for c in ranked[:r])
     rep = tuple(sorted((gp_set - rep_keep) | set(zero)))
     return CandidateSetFamily(sets=sets, r=r, representative=rep)
+
+
+def is_candidate_set(Z, s: int, cols, ztol: float = 0.0) -> bool:
+    """``cols in candidate_sets(Z, s, ztol)``, decided without enumerating.
+
+    ``cols`` qualifies when, as a strictly increasing index sequence, it
+    holds every zero-max column and no column with a negative maximum, and
+    keeps exactly r violating columns: every one whose positive-part norm
+    lies above the r-th largest norm, none below it, and the tied ones to
+    make up the count.  Exact ties therefore cost nothing here, however
+    many members they give the family.
+    """
+    Z = _as_matrix(Z)
+    if s < 1:
+        raise ValueError(f"violation budget must be >= 1, got {s}")
+    cols = np.asarray(cols).astype(int)
+    N = Z.shape[1]
+    if cols.size and not (cols[0] >= 0 and cols[-1] < N and (np.diff(cols) > 0).all()):
+        return False
+    part = column_partition(Z, ztol=ztol)
+    clamp = np.zeros(N, dtype=bool)
+    clamp[cols] = True
+    if not clamp[part.zero].all() or clamp[part.negative].any():
+        return False
+    gp = part.positive
+    r = min(int(s), gp.size)
+    if np.count_nonzero(~clamp[gp]) != r:
+        return False
+    if r == gp.size:
+        return True
+    norms = part.pos_norms[gp]
+    thresh = np.sort(part.pos_norms)[::-1][r - 1]  # r-th largest over all columns
+    return not clamp[gp[norms > thresh]].any() and bool(clamp[gp[norms < thresh]].all())
 
 
 def project_step(Z, s: int) -> list[np.ndarray]:

@@ -185,6 +185,10 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         X = np.asarray(X, dtype=float)
         return np.einsum("pk,nmk->pmn", X * X, xi_sq) - b
 
+    # the samples as an (N*M, K) matrix whose row n*M + m is the (m, n)
+    # constraint: a view of xi_sq, so the model reads it in place
+    xi_rows = xi_sq.reshape(N * M, K)
+
     def violations_along(x, d, Z):
         # G(x + a*d) = Z + a*c1 + a^2*c2 entrywise, with c1 = 2*sum_k
         # xi_sq*x*d and c2 = sum_k xi_sq*d^2.  In floating point every entry
@@ -193,28 +197,37 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         #     (4K + 13) * u * ((r0 + a*r2)^2 + |Z|),
         # u the unit roundoff, r0^2 ~ |Z| + b and r2^2 ~ c2 the weighted
         # squared norms of x and d: the trial point, the squares, the
-        # products and any order of the K-term sums each round by a
-        # relative u per operation, and Cauchy-Schwarz bounds the cross
-        # term sum_k xi_sq*|x|*|d| by r0*r2.  Since (r0 + a*r2)^2 <=
-        # 2*r0^2 + 2*a^2*r2^2, the band e0 + a^2*e2 below covers that with
-        # room left for the rounding of the band itself; the absolute term
-        # covers gradual underflow.  Rounding keeps the sign of a sum, so
-        # a column whose largest model entry clears the band on either side
-        # has that sign in G too.
+        # products and the K-term sums each round by a relative u per
+        # operation, and Cauchy-Schwarz bounds the cross term
+        # sum_k xi_sq*|x|*|d| by r0*r2.  The K-term bound holds for any
+        # summation order, so it covers the einsum in G, the BLAS products
+        # below whatever their blocking, and fused multiply-adds, which
+        # round once where a product and a sum round twice.  Since
+        # (r0 + a*r2)^2 <= 2*r0^2 + 2*a^2*r2^2, the band e0 + a^2*e2 below
+        # covers that with room left for the rounding of the band itself;
+        # the absolute term covers gradual underflow.  Rounding keeps the
+        # sign of a sum, so a column whose largest model entry clears the
+        # band on either side has that sign in G too.
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
         if not x @ x + d @ d <= _SAFE_VAL:
             return None
         coef = np.empty((3, M, N))
         coef[0] = Z
-        np.einsum("nmk,pk->pmn", xi_sq, np.stack([2.0 * x * d, d * d]), out=coef[1:])
+        # c1 and c2 from one BLAS product that reads the samples in place;
+        # its row n*M + m lands at (m, n), so that the column maxima below
+        # run over whole rows of N entries
+        cd = xi_rows @ np.array([2.0 * x * d, d * d]).T
+        coef[1:] = cd.reshape(N, M, 2).transpose(2, 1, 0)
         # column maxima of |Z|, |c1| and c2
         mag = np.abs(coef).max(axis=1)
         if not mag.max() + b <= _SAFE_VAL:
             return None
         c = (4 * K + 32) * _UNIT
-        e0 = (3.0 * c) * mag[0] + c * (2.0 * b + _TINY)
-        e2 = (2.0 * c) * mag[2]
+        # the band e0 + a^2*e2 of each column, as the rows of one matrix
+        band_coef = np.empty((2, N))
+        band_coef[0] = (3.0 * c) * mag[0] + c * (2.0 * b + _TINY)
+        band_coef[1] = (2.0 * c) * mag[2]
         coef = coef.reshape(3, M * N)
 
         def counts(alphas):
@@ -223,10 +236,11 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
             powers[:, 1] = alphas
             powers[:, 2] = alphas * alphas
             top = (powers @ coef).reshape(-1, M, N).max(axis=1)
-            band = powers[:, 2:] * e2
-            band += e0
+            band = powers[:, ::2] @ band_coef
             # comparisons are exact: top > band iff the rounded top - band > 0
-            return (top > band).sum(axis=1), N - (top < -band).sum(axis=1)
+            lo = (top > band).sum(axis=1)
+            np.negative(band, out=band)
+            return lo, N - (top < band).sum(axis=1)
 
         return counts
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .geometry import candidate_sets, step_norm
+from .geometry import column_partition
 from .problems import ProblemInstance, grad_columns, weighted_constraint_hessian
 from .stationarity import (
     ActiveSet,
@@ -148,10 +148,16 @@ def select_candidate_columns(lam: np.ndarray, s: int) -> np.ndarray:
     """Deterministic clamp-column choice for the matrix lam at budget s.
 
     Keeps the s columns of largest positive-part norm (ties toward the lower
-    index) and clamps the rest together with the zero-max columns.
+    index) and clamps the rest together with the zero-max columns: the
+    ``representative`` of ``candidate_sets(lam, s)``, found without
+    enumerating that family.
     """
-    fam = candidate_sets(lam, s)
-    return np.array(fam.representative, dtype=int)
+    if s < 1:
+        raise ValueError(f"violation budget must be >= 1, got {s}")
+    part = column_partition(lam)
+    gp = part.positive
+    ranked = gp[np.lexsort((gp, -part.pos_norms[gp]))]
+    return np.sort(np.concatenate([ranked[s:], part.zero]))
 
 
 def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: ActiveSet,
@@ -205,7 +211,8 @@ def fallback_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Acti
 
 def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.ndarray,
                             s: int, gamma: float, pi: float, t_max: int = 50,
-                            Z: Optional[np.ndarray] = None) -> tuple[int, float, bool]:
+                            Z: Optional[np.ndarray] = None,
+                            full_step_first: bool = False) -> tuple[int, float, bool]:
     """Smallest backtracking exponent keeping violations within (gamma+1)*s.
 
     Returns (t, alpha, stalled) where alpha is 1.0 multiplied by pi t times
@@ -213,11 +220,13 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
     zero with stalled=True so the iterate never leaves the relaxed budget
     region.  A trial point whose G is not finite counts as outside it.
 
-    The full step is tried with G itself.  Past it, a problem with a
-    ``violations_along`` hook bounds the violation count of each trial
-    step from a model of G along the ray (``Z`` is G(x), computed when not
-    given), and G is called only for a step whose bounds straddle the cap.
-    The result equals that of calling G at every trial step.
+    A problem with a ``violations_along`` hook bounds the violation count
+    of each trial step, the full step included, from a model of G along
+    the ray (``Z`` is G(x), computed when not given), and G is called only
+    for a step whose bounds straddle the cap.  ``full_step_first`` tries
+    the full step with G before building the model, which pays off when
+    the full step is likely to pass.  Without the hook every trial step
+    goes to G.  The result equals that of calling G at every trial step.
     """
     bound = (gamma + 1.0) * s
 
@@ -226,23 +235,24 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         # step_norm, without its second finiteness pass
         return bool(np.isfinite(Zt).all()) and np.count_nonzero(Zt.max(axis=0) > 0.0) <= bound
 
-    if within(1.0):
-        return 0, 1.0, False
-    steps = []
-    alpha = 1.0
+    steps = [1.0]
     for _ in range(t_max):
-        alpha *= pi
-        steps.append(alpha)
+        steps.append(steps[-1] * pi)
+    first = 0
+    if full_step_first:
+        if within(1.0):
+            return 0, 1.0, False
+        first = 1
     counts = None
-    if problem.violations_along is not None and t_max:
+    if problem.violations_along is not None and first <= t_max:
         counts = problem.violations_along(x, d_x, problem.G(x) if Z is None else Z)
     if counts is None:
         # no model: every step is undecided and goes to G
         count_bounds = repeat((0, math.inf))
     else:
         chunk = max(1, _MODEL_CHUNK_ENTRIES // (problem.M * problem.N))
-        count_bounds = _chunked(counts, steps, chunk)
-    for t, alpha, (lo, hi) in zip(range(1, t_max + 1), steps, count_bounds):
+        count_bounds = _chunked(counts, steps[first:], chunk)
+    for t, alpha, (lo, hi) in zip(range(first, t_max + 1), steps[first:], count_bounds):
         if hi <= bound or (lo <= bound and within(alpha)):
             return t, alpha, False
     return t_max, 0.0, True
@@ -285,6 +295,9 @@ def solve(problem: ProblemInstance, config: SolverConfig,
 
     trace: list[IterationRecord] = []
     stall_streak = 0
+    # A full step tends to follow a full step, and then one G call settles
+    # it faster than a model; otherwise the model decides it with the rest.
+    full_step_first = False
     it = 0
     while True:
         if res < tol:
@@ -306,12 +319,16 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             kind = "fallback"
 
         t, alpha, stalled = feasibility_line_search(
-            problem, x, d[:problem.K], s, gamma, config.pi, config.t_max, Z=Z)
+            problem, x, d[:problem.K], s, gamma, config.pi, config.t_max, Z=Z,
+            full_step_first=full_step_first)
         stall_streak = stall_streak + 1 if stalled else 0
+        full_step_first = alpha == 1.0
 
+        # step_norm(Z), without its finiteness pass: refresh has checked Z
+        violations = int(np.count_nonzero(Z.max(axis=0) > 0.0))
         trace.append(IterationRecord(
             iter=it, residual=res, objective=problem.f(x),
-            violations=step_norm(Z), step=alpha, mu=mu, direction_kind=kind))
+            violations=violations, step=alpha, mu=mu, direction_kind=kind))
 
         K = problem.K
         x = x + alpha * d[:K]
@@ -328,7 +345,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         it += 1
 
     final_pt = PrimalDualPoint(x, W)
-    report = check_tau_stationary(problem, final_pt, tau, s, tol=tol)
+    report = check_tau_stationary(problem, final_pt, tau, s, tol=tol, Z=Z)
     return SolveResult(point=final_pt, status=status, iterations=it,
                        final_residual=res, trace=tuple(trace),
                        final_report=report, active=V)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import candidate_sets, column_partition, step_norm
+from .geometry import column_partition, is_candidate_set, step_norm
 from .problems import ProblemInstance, grad_columns, weighted_constraint_hessian
 
 __all__ = [
@@ -301,7 +301,8 @@ def check_bkkt(problem: ProblemInstance, x: np.ndarray, y: np.ndarray, s: int,
 
 def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
                          tau: float, s: int, tol: float = 1e-9,
-                         ztol: Optional[float] = None) -> StationarityReport:
+                         ztol: Optional[float] = None,
+                         Z: Optional[np.ndarray] = None) -> StationarityReport:
     """Projection-based stationarity of (x, W) at step size tau.
 
     Three conditions: the zero-max columns of G(x) form a valid clamp set
@@ -311,18 +312,18 @@ def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
     always reports the stacked norm, but ``satisfied`` also requires the two
     combinatorial conditions.  ``ztol`` (default: tol) classifies near-zero
     constraint values as active, so solver output passes without demanding
-    exact zeros.
+    exact zeros.  ``Z`` is G(x) when the caller has it; it is computed
+    otherwise.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if ztol is None:
         ztol = tol
-    Z = problem.G(point.x)
+    if Z is None:
+        Z = problem.G(point.x)
     part = column_partition(Z, ztol=ztol)
-    zero_cols = tuple(int(c) for c in part.zero)
 
-    fam = candidate_sets(Z + tau * point.W, s, ztol=ztol)
-    clamp_ok = zero_cols in fam
+    clamp_ok = is_candidate_set(Z + tau * point.W, s, part.zero, ztol=ztol)
 
     V_star = ActiveSet(_zero_pairs_in_cols(Z, part.zero, ztol=ztol),
                        (problem.M, problem.N))

@@ -2,8 +2,15 @@
 import numpy as np
 import pytest
 
-from stepopt.geometry import step_norm
-from stepopt.problems import ProblemInstance, make_counterexample, make_norm_opt
+import stepopt.geometry
+from stepopt.geometry import candidate_sets, step_norm
+from stepopt.problems import (
+    ProblemInstance,
+    load_samples,
+    make_counterexample,
+    make_norm_opt,
+    save_samples,
+)
 from stepopt.solver import (
     IterationRecord,
     SolverAbort,
@@ -20,6 +27,7 @@ from stepopt.stationarity import (
     ActiveSet,
     PrimalDualPoint,
     active_set,
+    check_tau_stationary,
     smoothed_jacobian,
     stationarity_residual,
 )
@@ -397,3 +405,26 @@ def test_rate_ratios_skip_exact_zeros_and_empty_traces():
     assert len(quadratic_rate_ratios(trace, final_residual=0.0)) == 1
     assert quadratic_rate_ratios([]) == []
     assert quadratic_rate_ratios([], final_residual=1.0) == []
+
+
+@pytest.mark.parametrize("copies,s", [(60, 5), (20, 10)])
+def test_solve_never_enumerates_tied_scenarios(tmp_path, monkeypatch, copies, s):
+    # The largest of 100 scenarios repeated: from x = 3*1 all its copies
+    # violate with one norm, at the s-th place, so the clamp family has
+    # C(copies, s) members.  The solver and its final check must decide
+    # without listing them; a family cap of 1 makes any listing raise.
+    rng = np.random.default_rng(0)
+    xi = rng.standard_normal((100, 1, 10))
+    xi[:copies] = xi[np.argmax((xi ** 2).sum(axis=(1, 2)))]
+    save_samples(xi, tmp_path / "samples.csv")
+    problem = load_samples(tmp_path / "samples.csv")
+    start = PrimalDualPoint(np.full(10, 3.0), np.zeros((1, 100)))
+    monkeypatch.setattr(stepopt.geometry, "FAMILY_CAP", 1)
+    with pytest.raises(RuntimeError, match="tie explosion"):
+        candidate_sets(problem.G(start.x), s)
+    res = solve(problem, SolverConfig(s=s), start)
+    assert res.status in ("Converged", "MaxIterations", "LineSearchStalled")
+    again = check_tau_stationary(problem, res.point, 0.75, s,
+                                 tol=1e-9 * problem.K * problem.M * problem.N)
+    assert (again.satisfied, again.residual) == (res.final_report.satisfied,
+                                                 res.final_report.residual)

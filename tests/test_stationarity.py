@@ -1,4 +1,6 @@
 """Stationarity residual, smoothed Jacobian, and the three optimality checks."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -277,6 +279,23 @@ class TestTauStationary:
         assert rep.satisfied and rep.residual <= 1e-12
         rep = check_tau_stationary(p, pt, tau=5.0, s=1)
         assert not rep.satisfied
+
+    def test_given_G_matches_computed_G(self):
+        p, pt, _ = self.build_boundary_case()
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return p.G(x)
+
+        q = dataclasses.replace(p, G=counted)
+        for tau in (0.4, 5.0):
+            want = check_tau_stationary(q, pt, tau=tau, s=1)
+            calls[0] = 0
+            got = check_tau_stationary(q, pt, tau=tau, s=1, Z=p.G(pt.x))
+            assert calls[0] == 0
+            assert (got.satisfied, got.residual, got.active, got.reason) == (
+                want.satisfied, want.residual, want.active, want.reason)
 
     def test_matches_projection_membership(self):
         rng = np.random.default_rng(10)
