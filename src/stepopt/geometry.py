@@ -292,11 +292,10 @@ def fixed_point_check(Z, W, tau: float, s: int, tol: float = 0.0) -> bool:
     return bool((tau * col_norms <= z_s + tol).all())
 
 
-def _zero_mask_on_zero_cols(Z: np.ndarray, part: ColumnPartition) -> np.ndarray:
-    """Boolean mask of entries that are zero inside zero-max columns."""
+def zero_mask(Z: np.ndarray, cols, ztol: float = 0.0) -> np.ndarray:
+    """Boolean mask of the entries of Z in columns ``cols`` with |Z| <= ztol."""
     mask = np.zeros(Z.shape, dtype=bool)
-    if part.zero.size:
-        mask[:, part.zero] = Z[:, part.zero] == 0.0
+    mask[:, cols] = np.abs(Z[:, cols]) <= ztol
     return mask
 
 
@@ -317,7 +316,7 @@ def normal_cone_member(Z, W, s: int, tol: float = 0.0) -> bool:
         raise ValueError("Z violates the step-norm budget; cone undefined")
     if k < s:
         return bool(np.linalg.norm(W) <= tol)
-    mask = _zero_mask_on_zero_cols(Z, part)
+    mask = zero_mask(Z, part.zero)
     if (W[mask] < -tol).any():
         return False
     return bool((np.abs(W[~mask]) <= tol).all())

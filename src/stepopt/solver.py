@@ -13,7 +13,6 @@ without evaluating G at every trial step.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional
@@ -46,6 +45,10 @@ __all__ = [
     "quadratic_rate_ratios",
 ]
 
+
+# LAPACK's LU factorization and solve, fetched once: the routines that
+# scipy.linalg.lu_factor/lu_solve call, without their per-call wrapping.
+_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 # The line search asks a violation model for about this many entries of G at
 # a time: every trial step at once on small problems, a few at a time on
@@ -177,26 +180,39 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
         Z = problem.G(x)
     g = problem.grad_f(x).astype(float, copy=True)
     L = len(V)
+    n = K + L
+    # [[theta, Gv], [Gv.T, -mu*I]] and its right-hand side, written in
+    # place; Fortran order lets getrf factor A without copying it
+    A = np.empty((n, n), order="F")
+    rhs = np.empty(n)
     if L:
         Gv = grad_columns(problem, x, V.rows, V.cols)
         w_v = W[V.rows, V.cols]
         g += Gv @ w_v
-        theta = problem.hess_f(x) + weighted_constraint_hessian(
-            problem, x, V.rows, V.cols, w_v)
-        A = np.block([[theta, Gv], [Gv.T, -mu * np.eye(L)]])
-        rhs = -np.concatenate([g, Z[V.rows, V.cols]])
+        np.add(problem.hess_f(x), weighted_constraint_hessian(
+            problem, x, V.rows, V.cols, w_v), out=A[:K, :K])
+        A[:K, K:] = Gv
+        A[K:, :K] = Gv.T
+        # off the diagonal, -mu * 0.0 is -0.0 as in -mu * eye(L); a +0.0
+        # there can flip the sign of a zero in the solution
+        A[K:, K:] = -mu * 0.0
+        A.ravel(order="F")[K * (n + 1)::n + 1] = -mu
+        np.negative(Z[V.rows, V.cols], out=rhs[K:])
     else:
-        A = problem.hess_f(x).astype(float, copy=True)
-        rhs = -g
+        A[:] = problem.hess_f(x)
+    np.negative(g, out=rhs[:K])
     scale = np.abs(A).max()
     if not np.isfinite(scale) or scale == 0.0:
         return None, False
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # exact-zero pivots are caught below
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    if np.abs(np.diag(lu)).min() < pivot_tol * scale:
+    # an exact-zero pivot (info > 0) fails the relative pivot test below
+    lu, piv, info = _getrf(A, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    if np.abs(lu.diagonal()).min() < pivot_tol * scale:
         return None, False
-    head = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    head, info = _getrs(lu, piv, rhs, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
     if not np.all(np.isfinite(head)):
         return None, False
     crows, ccols = V.complement()

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import column_partition, is_candidate_set, step_norm
+from .geometry import column_partition, is_candidate_set, step_norm, zero_mask
 from .problems import ProblemInstance, grad_columns, weighted_constraint_hessian
 
 __all__ = [
@@ -56,6 +56,8 @@ class ActiveSet:
 
     Pairs are stored column-major (sorted by column, then row) so that
     restrictions of a flattened matrix keep a fixed, reproducible order.
+    ``rows`` and ``cols`` hold them as read-only index arrays; ``pairs``
+    gives the same positions as a tuple of (row, col) int pairs.
     """
 
     def __init__(self, pairs, shape):
@@ -67,16 +69,32 @@ class ActiveSet:
         for m, n in seen:
             if not (0 <= m < M and 0 <= n < N):
                 raise ValueError(f"pair ({m}, {n}) outside a {M}x{N} matrix")
-        self.pairs = tuple(seen)
-        self.shape = (int(M), int(N))
-        self.rows = np.array([m for m, _ in seen], dtype=int)
-        self.cols = np.array([n for _, n in seen], dtype=int)
-        self._complement = None
+        self._init(np.array([m for m, _ in seen], dtype=np.intp),
+                   np.array([n for _, n in seen], dtype=np.intp), (M, N))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "ActiveSet":
-        ns, ms = np.nonzero(mask.T)
-        return cls(list(zip(ms.tolist(), ns.tolist())), mask.shape)
+        """The True positions of a boolean (M, N) mask."""
+        # nonzero of the transpose is column-major, unique and in range
+        cols, rows = np.nonzero(mask.T)
+        out = cls.__new__(cls)
+        out._init(rows, cols, mask.shape)
+        return out
+
+    def _init(self, rows, cols, shape):
+        M, N = shape
+        rows.flags.writeable = False
+        cols.flags.writeable = False
+        self.rows, self.cols = rows, cols
+        self.shape = (int(M), int(N))
+        self._pairs = None
+        self._complement = None
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        if self._pairs is None:
+            self._pairs = tuple(zip(self.rows.tolist(), self.cols.tolist()))
+        return self._pairs
 
     def mask(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=bool)
@@ -87,17 +105,21 @@ class ActiveSet:
         """Rows and cols of the complementary positions, column-major."""
         if self._complement is None:
             ns, ms = np.nonzero(~self.mask().T)
-            self._complement = (ms.copy(), ns.copy())
+            ms.flags.writeable = False
+            ns.flags.writeable = False
+            self._complement = (ms, ns)
         return self._complement
 
     def __len__(self):
-        return len(self.pairs)
+        return self.rows.size
 
     def __eq__(self, other):
-        return isinstance(other, ActiveSet) and self.shape == other.shape and self.pairs == other.pairs
+        return (isinstance(other, ActiveSet) and self.shape == other.shape
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols))
 
     def __hash__(self):
-        return hash((self.shape, self.pairs))
+        return hash((self.shape, self.rows.tobytes(), self.cols.tobytes()))
 
     def __repr__(self):
         return f"ActiveSet({list(self.pairs)!r}, shape={self.shape})"
@@ -222,19 +244,10 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-10,
     return c, float(np.linalg.norm(resid))
 
 
-def _zero_pairs_in_cols(Z: np.ndarray, cols, ztol: float = 0.0) -> list[tuple[int, int]]:
-    pairs = []
-    for n in cols:
-        for m in np.flatnonzero(np.abs(Z[:, n]) <= ztol):
-            pairs.append((int(m), int(n)))
-    return pairs
-
-
-def _nnls_multiplier_check(problem: ProblemInstance, x: np.ndarray,
-                           pairs: list[tuple[int, int]], kind: str,
-                           tol: float) -> StationarityReport:
-    """Shared body of the two multiplier-based checks."""
-    V = ActiveSet(pairs, (problem.M, problem.N))
+def _nnls_multiplier_check(problem: ProblemInstance, x: np.ndarray, Z: np.ndarray,
+                           cols, kind: str, tol: float) -> StationarityReport:
+    """Shared body of the two multiplier-based checks: multipliers on the zeros of Z in cols."""
+    V = ActiveSet.from_mask(zero_mask(Z, cols))
     g = problem.grad_f(x)
     if len(V) == 0:
         res = float(np.linalg.norm(g))
@@ -270,8 +283,7 @@ def check_kkt(problem: ProblemInstance, x: np.ndarray, s: int,
                                   active=ActiveSet([], (problem.M, problem.N)),
                                   witness_W=np.zeros((problem.M, problem.N)))
     part = column_partition(Z)
-    pairs = _zero_pairs_in_cols(Z, part.zero)
-    return _nnls_multiplier_check(problem, x, pairs, "kkt", tol)
+    return _nnls_multiplier_check(problem, x, Z, part.zero, "kkt", tol)
 
 
 def check_bkkt(problem: ProblemInstance, x: np.ndarray, y: np.ndarray, s: int,
@@ -295,8 +307,7 @@ def check_bkkt(problem: ProblemInstance, x: np.ndarray, y: np.ndarray, s: int,
     if viol.any():
         bad = enforced[viol]
         raise ValueError(f"x violates enforced samples {bad.tolist()}")
-    pairs = _zero_pairs_in_cols(Z, enforced)
-    return _nnls_multiplier_check(problem, x, pairs, "bkkt", tol)
+    return _nnls_multiplier_check(problem, x, Z, enforced, "bkkt", tol)
 
 
 def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
@@ -325,8 +336,7 @@ def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
 
     clamp_ok = is_candidate_set(Z + tau * point.W, s, part.zero, ztol=ztol)
 
-    V_star = ActiveSet(_zero_pairs_in_cols(Z, part.zero, ztol=ztol),
-                       (problem.M, problem.N))
+    V_star = ActiveSet.from_mask(zero_mask(Z, part.zero, ztol))
     U = active_set(problem, point, tau, part.zero, ztol=ztol, Z=Z)
     sets_match = U == V_star
 
@@ -360,8 +370,7 @@ def max_stationary_tau(problem: ProblemInstance, x: np.ndarray, s: int,
         raise ValueError("point violates the step-norm budget")
     if k < s:
         return float("inf")
-    pairs = _zero_pairs_in_cols(Z, part.zero, ztol=ztol)
-    V = ActiveSet(pairs, (problem.M, problem.N))
+    V = ActiveSet.from_mask(zero_mask(Z, part.zero, ztol))
     if len(V) == 0:
         return float("inf")
     A = grad_columns(problem, x, V.rows, V.cols)
