@@ -68,18 +68,13 @@ def grid_search(problem: ProblemInstance, s: int, grid: GridSpec):
     Evaluates every point of the box lattice, keeps those with at most s
     violating constraint columns, and returns (best_x, best_f) with ties
     broken toward the lexicographically first grid point.  Raises ValueError
-    when no grid point is feasible.  Batch evaluators on the problem are
-    used when present; otherwise points are evaluated one at a time.
+    when no grid point is feasible.  Points are evaluated in chunks through
+    the problem's batch evaluators ``f_batch`` and ``G_batch``.
     """
     if s < 0:
         raise ValueError(f"budget s must be >= 0, got {s}")
     if grid.dim != problem.K:
         raise ValueError(f"grid is {grid.dim}-D but the problem has K={problem.K}")
-
-    f_batch = problem.f_batch or (
-        lambda X: np.array([problem.f(x) for x in X], dtype=float))
-    G_batch = problem.G_batch or (
-        lambda X: np.stack([problem.G(x) for x in X]))
 
     axes = grid.axes()
     shape = (grid.points_per_dim,) * grid.dim
@@ -89,11 +84,11 @@ def grid_search(problem: ProblemInstance, s: int, grid: GridSpec):
         idx = np.arange(start, min(start + CHUNK, grid.size))
         coords = np.unravel_index(idx, shape)
         X = np.stack([axes[k][coords[k]] for k in range(grid.dim)], axis=1)
-        Z = np.asarray(G_batch(X), dtype=float)
+        Z = np.asarray(problem.G_batch(X), dtype=float)
         feasible = np.count_nonzero(Z.max(axis=1) > 0.0, axis=1) <= s
         if not feasible.any():
             continue
-        vals = np.asarray(f_batch(X[feasible]), dtype=float)
+        vals = np.asarray(problem.f_batch(X[feasible]), dtype=float)
         j = int(np.argmin(vals))
         if vals[j] < best_f:
             best_f = float(vals[j])

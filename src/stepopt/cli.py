@@ -291,8 +291,9 @@ def cmd_bench(args) -> int:
     if args.samples:
         raise ValueError("bench draws fresh seeded instances; --samples is not supported")
     sweep = args.sweep
+    integer = sweep in ("K", "M", "N")
     try:
-        if sweep in ("K", "M", "N"):
+        if integer:
             values = [int(v) for v in args.values.split(",") if v.strip()]
         else:
             values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -301,31 +302,22 @@ def cmd_bench(args) -> int:
     if not values:
         raise ValueError("--values is empty")
 
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+
     seeds = np.random.SeedSequence(args.seed).generate_state(len(values) * args.trials)
     rows = [BENCH_HEADER]
     idx = 0
     for value in values:
-        dims = {"K": args.K, "M": args.M, "N": args.N}
-        alpha, tau = args.alpha, args.tau
-        if sweep in dims:
-            dims[sweep] = int(value)
-        elif sweep == "alpha":
-            alpha = float(value)
-        else:
-            tau = float(value)
+        # the flags of this sweep point: a copy of args with the swept value
+        point = argparse.Namespace(**vars(args))
+        setattr(point, sweep, value)
         objectives, times, iters, converged = [], [], [], 0
         for _ in range(args.trials):
-            seed = int(seeds[idx])
+            point.seed = int(seeds[idx])
             idx += 1
-            instance = make_norm_opt(dims["K"], dims["M"], dims["N"], b=args.b,
-                                     lambda1=args.lambda1, lambda2=args.lambda2,
-                                     seed=seed)
-            s = args.s if args.s is not None else math.ceil(alpha * dims["N"])
-            gamma = args.gamma if args.gamma is not None else gamma_for(alpha, s)
-            cfg = SolverConfig(s=s, tau=tau, max_it=args.max_it,
-                               tol_scale=args.tol_scale, rho=args.rho,
-                               mu_bar=args.mu_bar, nu=args.nu, pi=args.pi,
-                               gamma=gamma, t_max=args.t_max)
+            instance = build_instance(point)
+            cfg = solver_config(point, resolve_budget(point, instance))
             t0 = time.perf_counter()
             try:
                 res = solve(instance, cfg)
@@ -338,7 +330,7 @@ def cmd_bench(args) -> int:
             iters.append(res.iterations)
             converged += res.status == "Converged"
         med = lambda xs: _num(np.median(xs)) if xs else "nan"
-        value_txt = str(value) if sweep in dims else _num(value)
+        value_txt = str(value) if integer else _num(value)
         rows.append(",".join([
             sweep, value_txt, med(objectives),
             f"{np.median(times):.6f}" if times else "nan",

@@ -1,14 +1,14 @@
 """Problem instances: objective and sampled constraint evaluators.
 
 An instance bundles callables for f, its derivatives, the M x N constraint
-value matrix G(x), and per-entry constraint derivatives.  Two constructors
-are provided: the sampled norm-design benchmark (squared Gaussian data by
-default) and a fixed two-variable instance whose binary-style optimality
-conditions hold at a point that is not a local minimizer.
-
-Optional vectorized hooks let the solver assemble its linear algebra without
-per-entry Python loops; module-level helpers fall back to loops when a hook
-is absent.  The norm-design instance also models G along a search ray, so
+value matrix G(x), and vectorized constraint derivatives: the gradient
+columns of a set of (m, n) entries and their weighted Hessian sum, which is
+all the solver's reduced Newton system and the multiplier checks read.
+Batch evaluators of f and G over many points serve the grid search.  Two
+constructors are provided: the sampled norm-design benchmark (squared
+Gaussian data by default) and a fixed two-variable instance whose
+binary-style optimality conditions hold at a point that is not a local
+minimizer.  The norm-design instance also models G along a search ray, so
 the solver's line search can count violations without evaluating G.
 """
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "norm_opt_draw",
     "load_samples",
     "save_samples",
-    "grad_columns",
-    "weighted_constraint_hessian",
 ]
 
 # Unit roundoff and smallest normal double, for the rounding bound of the
@@ -52,12 +50,16 @@ class ProblemInstance:
         Objective value (float), gradient (K,), Hessian (K, K) at x.
     G : callable
         Constraint value matrix (M, N) at x.
-    grad_G, hess_G : callable
-        Gradient (K,) and Hessian (K, K) of the (m, n) constraint entry;
-        called as grad_G(x, m, n).
-    grad_G_cols, weighted_hess_G, f_batch, G_batch : callable, optional
-        Vectorized fast paths; see ``grad_columns`` and
-        ``weighted_constraint_hessian`` for the loop fallbacks.
+    grad_G_cols : callable
+        ``grad_G_cols(x, rows, cols)``: the gradients of the entries
+        (rows[j], cols[j]) of G as the columns of a (K, L) matrix, for
+        integer index arrays of length L.
+    weighted_hess_G : callable
+        ``weighted_hess_G(x, rows, cols, w)``: sum of w[j] times the
+        Hessian of entry (rows[j], cols[j]), a (K, K) matrix; zeros when
+        L = 0.
+    f_batch, G_batch : callable
+        f and G at the rows of a (P, K) array: shapes (P,) and (P, M, N).
     violations_along : callable, optional
         ``violations_along(x, d, Z)``, with ``Z = G(x)``, models G along the
         ray x + a*d.  It returns None when it cannot, or a function mapping
@@ -78,12 +80,10 @@ class ProblemInstance:
     grad_f: Callable[[np.ndarray], np.ndarray]
     hess_f: Callable[[np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
-    grad_G: Callable[[np.ndarray, int, int], np.ndarray]
-    hess_G: Callable[[np.ndarray, int, int], np.ndarray]
-    grad_G_cols: Optional[Callable] = None
-    weighted_hess_G: Optional[Callable] = None
-    f_batch: Optional[Callable] = None
-    G_batch: Optional[Callable] = None
+    grad_G_cols: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    weighted_hess_G: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    f_batch: Callable[[np.ndarray], np.ndarray]
+    G_batch: Callable[[np.ndarray], np.ndarray]
     violations_along: Optional[Callable] = None
 
     def __post_init__(self):
@@ -108,31 +108,6 @@ class NormOptInstance(ProblemInstance):
     lambda1: float
     lambda2: float
     seed: Optional[int]
-
-
-def grad_columns(problem: ProblemInstance, x: np.ndarray, rows, cols) -> np.ndarray:
-    """Stack grad_G(x, m, n) for the given (rows, cols) pairs as a (K, L) matrix."""
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    if problem.grad_G_cols is not None:
-        return problem.grad_G_cols(x, rows, cols)
-    out = np.empty((problem.K, rows.size))
-    for j, (m, n) in enumerate(zip(rows, cols)):
-        out[:, j] = problem.grad_G(x, int(m), int(n))
-    return out
-
-
-def weighted_constraint_hessian(problem: ProblemInstance, x, rows, cols, weights) -> np.ndarray:
-    """Sum of weights[j] * hess_G(x, rows[j], cols[j]) as a (K, K) matrix."""
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    weights = np.asarray(weights, dtype=float)
-    if problem.weighted_hess_G is not None:
-        return problem.weighted_hess_G(x, rows, cols, weights)
-    out = np.zeros((problem.K, problem.K))
-    for m, n, w in zip(rows, cols, weights):
-        out += w * problem.hess_G(x, int(m), int(n))
-    return out
 
 
 def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
@@ -161,12 +136,6 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
     def G(x):
         x = np.asarray(x, dtype=float)
         return np.einsum("nmk,k->mn", xi_sq, x * x) - b
-
-    def grad_G(x, m, n):
-        return 2.0 * xi_sq[n, m] * np.asarray(x, dtype=float)
-
-    def hess_G(x, m, n):
-        return np.diag(2.0 * xi_sq[n, m])
 
     def grad_G_cols(x, rows, cols):
         # columns of squared draws at the requested (m, n) pairs, times 2x
@@ -247,8 +216,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
     return NormOptInstance(
         K=K, M=M, N=N,
         f=f, grad_f=grad_f, hess_f=hess_f,
-        G=G, grad_G=grad_G, hess_G=hess_G,
-        grad_G_cols=grad_G_cols, weighted_hess_G=weighted_hess_G,
+        G=G, grad_G_cols=grad_G_cols, weighted_hess_G=weighted_hess_G,
         f_batch=f_batch, G_batch=G_batch, violations_along=violations_along,
         xi=xi, xi_sq=xi_sq, b=float(b),
         lambda1=float(lambda1), lambda2=float(lambda2), seed=seed,
@@ -306,15 +274,16 @@ def make_counterexample() -> ProblemInstance:
     def G(x):
         return np.array([[x[0] ** 2 - x[1], x[1] - 1.0]])
 
-    def grad_G(x, m, n):
-        if n == 0:
-            return np.array([2.0 * x[0], -1.0])
-        return np.array([0.0, 1.0])
+    def grad_G_cols(x, rows, cols):
+        # column n = 0: (2*x0, -1); column n = 1: (0, 1)
+        first = np.asarray(cols) == 0
+        return np.array([np.where(first, 2.0 * x[0], 0.0), np.where(first, -1.0, 1.0)])
 
-    def hess_G(x, m, n):
-        if n == 0:
-            return np.array([[2.0, 0.0], [0.0, 0.0]])
-        return np.zeros((2, 2))
+    def weighted_hess_G(x, rows, cols, w):
+        # only the entry in column 0 curves, with Hessian diag(2, 0)
+        out = np.zeros((2, 2))
+        out[0, 0] += 2.0 * np.asarray(w, dtype=float)[np.asarray(cols) == 0].sum()
+        return out
 
     def f_batch(X):
         X = np.asarray(X, dtype=float)
@@ -330,7 +299,7 @@ def make_counterexample() -> ProblemInstance:
     return ProblemInstance(
         K=2, M=1, N=2,
         f=f, grad_f=grad_f, hess_f=hess_f,
-        G=G, grad_G=grad_G, hess_G=hess_G,
+        G=G, grad_G_cols=grad_G_cols, weighted_hess_G=weighted_hess_G,
         f_batch=f_batch, G_batch=G_batch,
     )
 

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .geometry import column_partition
-from .problems import ProblemInstance, grad_columns, weighted_constraint_hessian
+from .geometry import _ranked_positive, column_partition
+from .problems import ProblemInstance
 from .stationarity import (
     ActiveSet,
     PrimalDualPoint,
@@ -158,9 +158,7 @@ def select_candidate_columns(lam: np.ndarray, s: int) -> np.ndarray:
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
     part = column_partition(lam)
-    gp = part.positive
-    ranked = gp[np.lexsort((gp, -part.pos_norms[gp]))]
-    return np.sort(np.concatenate([ranked[s:], part.zero]))
+    return np.sort(np.concatenate([_ranked_positive(part)[s:], part.zero]))
 
 
 def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: ActiveSet,
@@ -186,11 +184,11 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
     A = np.empty((n, n), order="F")
     rhs = np.empty(n)
     if L:
-        Gv = grad_columns(problem, x, V.rows, V.cols)
+        Gv = problem.grad_G_cols(x, V.rows, V.cols)
         w_v = W[V.rows, V.cols]
         g += Gv @ w_v
-        np.add(problem.hess_f(x), weighted_constraint_hessian(
-            problem, x, V.rows, V.cols, w_v), out=A[:K, :K])
+        np.add(problem.hess_f(x), problem.weighted_hess_G(x, V.rows, V.cols, w_v),
+               out=A[:K, :K])
         A[:K, K:] = Gv
         A[K:, :K] = Gv.T
         # off the diagonal, -mu * 0.0 is -0.0 as in -mu * eye(L); a +0.0
@@ -287,15 +285,24 @@ def solve(problem: ProblemInstance, config: SolverConfig,
 
     Terminates with status 'Converged' (residual below tol_scale*K*M*N),
     'MaxIterations', or 'LineSearchStalled' (backtracking hit its cap twice
-    in a row).  Raises :class:`SolverAbort` on non-finite iterates.
+    in a row).  Raises ValueError when ``start`` does not have shapes (K,)
+    and (M, N) or is not finite, and :class:`SolverAbort` on non-finite
+    iterates.
     """
     s, tau = config.s, config.tau
     gamma = config.gamma if config.gamma is not None else 3.0 / s
-    tol = config.tol_scale * problem.K * problem.M * problem.N
+    K, M, N = problem.K, problem.M, problem.N
+    tol = config.tol_scale * K * M * N
 
-    pt = PrimalDualPoint.zeros(problem) if start is None else PrimalDualPoint(
-        np.array(start.x, dtype=float), np.array(start.W, dtype=float))
-    x, W = pt.x.copy(), pt.W.copy()
+    if start is None:
+        x, W = np.zeros(K), np.zeros((M, N))
+    else:
+        x, W = np.array(start.x, dtype=float), np.array(start.W, dtype=float)
+        if x.shape != (K,) or W.shape != (M, N):
+            raise ValueError(f"start must have x of shape ({K},) and W of shape ({M}, {N}),"
+                             f" got {x.shape} and {W.shape}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(W))):
+            raise ValueError("start has non-finite entries")
 
     def refresh(x, W):
         Z = problem.G(x)
@@ -335,7 +342,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             kind = "fallback"
 
         t, alpha, stalled = feasibility_line_search(
-            problem, x, d[:problem.K], s, gamma, config.pi, config.t_max, Z=Z,
+            problem, x, d[:K], s, gamma, config.pi, config.t_max, Z=Z,
             full_step_first=full_step_first)
         stall_streak = stall_streak + 1 if stalled else 0
         full_step_first = alpha == 1.0
@@ -346,7 +353,6 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             iter=it, residual=res, objective=problem.f(x),
             violations=violations, step=alpha, mu=mu, direction_kind=kind))
 
-        K = problem.K
         x = x + alpha * d[:K]
         if len(V):
             W[V.rows, V.cols] += alpha * d[K:K + len(V)]

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import column_partition, is_candidate_set, step_norm, zero_mask
-from .problems import ProblemInstance, grad_columns, weighted_constraint_hessian
+from .problems import ProblemInstance
 
 __all__ = [
     "PrimalDualPoint",
@@ -31,7 +31,6 @@ __all__ = [
     "active_set",
     "stationarity_residual",
     "smoothed_jacobian",
-    "nnls",
     "check_kkt",
     "check_bkkt",
     "check_tau_stationary",
@@ -170,7 +169,7 @@ def stationarity_residual(problem: ProblemInstance, point: PrimalDualPoint,
         Z = problem.G(x)
     g = problem.grad_f(x).astype(float, copy=True)
     if len(V):
-        g += grad_columns(problem, x, V.rows, V.cols) @ W[V.rows, V.cols]
+        g += problem.grad_G_cols(x, V.rows, V.cols) @ W[V.rows, V.cols]
     crows, ccols = V.complement()
     return np.concatenate([g, Z[V.rows, V.cols], W[crows, ccols]])
 
@@ -190,8 +189,8 @@ def smoothed_jacobian(problem: ProblemInstance, point: PrimalDualPoint,
     J = np.zeros((n_tot, n_tot))
     theta = problem.hess_f(x).astype(float, copy=True)
     if L:
-        theta += weighted_constraint_hessian(problem, x, V.rows, V.cols, W[V.rows, V.cols])
-        Gv = grad_columns(problem, x, V.rows, V.cols)
+        theta += problem.weighted_hess_G(x, V.rows, V.cols, W[V.rows, V.cols])
+        Gv = problem.grad_G_cols(x, V.rows, V.cols)
         J[:K, K:K + L] = Gv
         J[K:K + L, :K] = Gv.T
         J[K:K + L, K:K + L] = -mu * np.eye(L)
@@ -199,49 +198,6 @@ def smoothed_jacobian(problem: ProblemInstance, point: PrimalDualPoint,
     if Lbar:
         J[K + L:, K + L:] = np.eye(Lbar)
     return J
-
-
-def nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-10,
-         max_iter: Optional[int] = None) -> tuple[np.ndarray, float]:
-    """Minimize ||A c - b|| subject to c >= 0 by active-set pivoting.
-
-    Standard Lawson-Hanson: grow a passive set by the most positive dual,
-    solve the free least-squares subproblem, and step back to the boundary
-    whenever a passive coordinate would turn negative.  Returns the solution
-    and the residual norm.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = 100 * (m + n)
-    c = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    resid = b - A @ c
-    w = A.T @ resid
-    it = 0
-    while (~passive).any() and (w[~passive] > tol).any():
-        j = int(np.argmax(np.where(passive, -np.inf, w)))
-        passive[j] = True
-        while True:
-            it += 1
-            if it > max_iter:
-                raise RuntimeError(f"nonnegative least squares failed to converge in {max_iter} iterations")
-            z = np.zeros(n)
-            sol, *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
-            z[passive] = sol
-            if (z[passive] > tol).all():
-                c = z
-                break
-            # step toward z until the first passive coordinate hits zero
-            blocking = passive & (z <= tol)
-            alpha = np.min(c[blocking] / (c[blocking] - z[blocking]))
-            c = c + alpha * (z - c)
-            passive &= c > tol
-            c[~passive] = 0.0
-        resid = b - A @ c
-        w = A.T @ resid
-    return c, float(np.linalg.norm(resid))
 
 
 def _nnls_multiplier_check(problem: ProblemInstance, x: np.ndarray, Z: np.ndarray,
@@ -253,8 +209,11 @@ def _nnls_multiplier_check(problem: ProblemInstance, x: np.ndarray, Z: np.ndarra
         res = float(np.linalg.norm(g))
         return StationarityReport(kind=kind, satisfied=res <= tol, residual=res,
                                   active=V, witness_W=np.zeros((problem.M, problem.N)))
-    A = grad_columns(problem, x, V.rows, V.cols)
-    coef, res = nnls(A, -g)
+    # imported here: scipy.optimize would add about a quarter second to
+    # every ``import stepopt``, and only these two checks need it
+    from scipy.optimize import nnls
+
+    coef, res = nnls(problem.grad_G_cols(x, V.rows, V.cols), -g)
     W = np.zeros((problem.M, problem.N))
     W[V.rows, V.cols] = coef
     return StationarityReport(kind=kind, satisfied=res <= tol, residual=res,
@@ -373,7 +332,7 @@ def max_stationary_tau(problem: ProblemInstance, x: np.ndarray, s: int,
     V = ActiveSet.from_mask(zero_mask(Z, part.zero, ztol))
     if len(V) == 0:
         return float("inf")
-    A = grad_columns(problem, x, V.rows, V.cols)
+    A = problem.grad_G_cols(x, V.rows, V.cols)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.size == 0 or sv[-1] <= rank_tol * sv[0]:
         raise ValueError("active constraint gradients are rank deficient")

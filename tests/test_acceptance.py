@@ -42,6 +42,8 @@ from stepopt import (
 )
 from stepopt.problems import norm_opt_draw
 
+from reshape_fixtures import reshape_constraints
+
 WORKED = np.array([[2.0, 2.0, 0.0, -1.0], [0.0, -1.0, -2.0, -3.0]])
 # same matrix with one positive column removed: one column may be released
 WORKED_RELEASED = np.array([[2.0, 0.0, 0.0, -1.0], [0.0, -1.0, -2.0, -3.0]])
@@ -74,20 +76,13 @@ def reshape_problem(M, N, c):
     """f(x) = 0.5*||x||^2 + c.x with G(x) the col-major reshape of x."""
     K = M * N
     c = np.asarray(c, dtype=float)
-
-    def grad_G(x, m, n):
-        e = np.zeros(K)
-        e[n * M + m] = 1.0
-        return e
-
     return ProblemInstance(
         K=K, M=M, N=N,
         f=lambda x: float(0.5 * x @ x + c @ x),
         grad_f=lambda x: x + c,
         hess_f=lambda x: np.eye(K),
-        G=lambda x: np.reshape(x, (M, N), order="F"),
-        grad_G=grad_G,
-        hess_G=lambda x, m, n: np.zeros((K, K)),
+        f_batch=lambda X: 0.5 * (X * X).sum(axis=1) + X @ c,
+        **reshape_constraints(M, N),
     )
 
 
@@ -126,11 +121,8 @@ def projection_membership(Z, W, tau, s, tol=1e-9):
 
 def full_gradient_norm(prob, x, W):
     """Norm of grad f(x) + sum over all (m, n) of W_mn * grad G_mn(x)."""
-    g = prob.grad_f(x).astype(float, copy=True)
-    for m in range(prob.M):
-        for n in range(prob.N):
-            if W[m, n] != 0.0:
-                g += W[m, n] * prob.grad_G(x, m, n)
+    rows, cols = np.nonzero(W)
+    g = prob.grad_f(x) + prob.grad_G_cols(x, rows, cols) @ W[rows, cols]
     return float(np.linalg.norm(g))
 
 

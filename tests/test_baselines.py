@@ -11,6 +11,8 @@ from stepopt.baselines import (
 )
 from stepopt.problems import ProblemInstance, make_counterexample, make_norm_opt
 
+from reshape_fixtures import constant_constraints
+
 
 def box_problem(target):
     """Smooth strictly convex objective, constraints always satisfied."""
@@ -22,9 +24,8 @@ def box_problem(target):
         f=lambda x: float(np.sum((x - target) ** 2)),
         grad_f=lambda x: 2.0 * (x - target),
         hess_f=lambda x: 2.0 * np.eye(K),
-        G=lambda x: -np.ones((1, 2)),
-        grad_G=lambda x, m, n: np.zeros(K),
-        hess_G=lambda x, m, n: np.zeros((K, K)),
+        f_batch=lambda X: np.sum((X - target) ** 2, axis=1),
+        **constant_constraints(K, -np.ones((1, 2))),
     )
 
 
@@ -34,9 +35,8 @@ def infeasible_problem():
         f=lambda x: float(x @ x),
         grad_f=lambda x: 2.0 * x,
         hess_f=lambda x: 2.0 * np.eye(2),
-        G=lambda x: np.ones((1, 2)),
-        grad_G=lambda x, m, n: np.zeros(2),
-        hess_G=lambda x, m, n: np.zeros((2, 2)),
+        f_batch=lambda X: (X * X).sum(axis=1),
+        **constant_constraints(2, np.ones((1, 2))),
     )
 
 
@@ -71,7 +71,7 @@ def test_grid_search_certifies_the_two_variable_instance():
 
 def test_grid_search_vacuous_budget_recovers_unconstrained_minimum():
     target = np.array([1.2345, 0.6789])
-    problem = box_problem(target)  # no batch hooks: covers the scalar path
+    problem = box_problem(target)
     spec = GridSpec(np.zeros(2), np.full(2, 2.0), 101)
     best_x, best_f = grid_search(problem, problem.N, spec)
     assert np.all(np.abs(best_x - target) <= 0.01 + 1e-12)

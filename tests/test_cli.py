@@ -225,6 +225,15 @@ def test_bench_rejects_bad_values_list(capsys):
     assert "comma list" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bench_rejects_fewer_than_one_trial(capsys, trials):
+    code, out, err = run(capsys, ["bench", "--sweep", "K", "--values", "2",
+                                  "--trials", trials])
+    assert code == 1
+    assert out == ""
+    assert err == f"stepopt: error: --trials must be >= 1, got {trials}\n"
+
+
 def test_bench_rejects_sample_file(capsys, tmp_path):
     path = tmp_path / "samples.csv"
     save_samples(make_norm_opt(2, 1, 4, b=5.0, seed=0), path)

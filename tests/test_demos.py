@@ -1,0 +1,20 @@
+"""The demos are the README's executable examples: each must run cleanly."""
+import runpy
+import tempfile
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_all_five_demos_are_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    # demo 05 writes its files under tempfile.mkdtemp(): keep them in tmp_path
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

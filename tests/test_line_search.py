@@ -264,9 +264,11 @@ def exp_problem():
         f=lambda x: float((x[0] - 1000.0) ** 2),
         grad_f=lambda x: np.array([2.0 * (x[0] - 1000.0)]),
         hess_f=lambda x: np.array([[2.0]]),
+        f_batch=lambda X: (X[:, 0] - 1000.0) ** 2,
         G=lambda x: np.array([[-np.exp(x[0])]]),
-        grad_G=lambda x, m, n: np.array([-np.exp(x[0])]),
-        hess_G=lambda x, m, n: np.array([[-np.exp(x[0])]]),
+        G_batch=lambda X: -np.exp(X[:, :1, None]),
+        grad_G_cols=lambda x, rows, cols: np.full((1, len(cols)), -np.exp(x[0])),
+        weighted_hess_G=lambda x, rows, cols, w: np.array([[-np.exp(x[0]) * np.sum(w)]]),
     )
 
 

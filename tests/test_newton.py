@@ -14,12 +14,7 @@ import pytest
 import scipy.linalg
 
 import stepopt.solver as solver_mod
-from stepopt.problems import (
-    ProblemInstance,
-    grad_columns,
-    make_norm_opt,
-    weighted_constraint_hessian,
-)
+from stepopt.problems import ProblemInstance, make_norm_opt
 from stepopt.solver import SolverConfig, gamma_for, newton_direction, solve
 from stepopt.stationarity import ActiveSet, PrimalDualPoint
 
@@ -32,11 +27,10 @@ def reference(problem, point, V, mu, pivot_tol=1e-12, Z=None):
     g = problem.grad_f(x).astype(float, copy=True)
     L = len(V)
     if L:
-        Gv = grad_columns(problem, x, V.rows, V.cols)
+        Gv = problem.grad_G_cols(x, V.rows, V.cols)
         w_v = W[V.rows, V.cols]
         g += Gv @ w_v
-        theta = problem.hess_f(x) + weighted_constraint_hessian(
-            problem, x, V.rows, V.cols, w_v)
+        theta = problem.hess_f(x) + problem.weighted_hess_G(x, V.rows, V.cols, w_v)
         A = np.block([[theta, Gv], [Gv.T, -mu * np.eye(L)]])
         rhs = -np.concatenate([g, Z[V.rows, V.cols]])
     else:
@@ -125,9 +119,11 @@ def constant_problem(theta, Gv, g, Z):
         f=lambda x: float(g @ x + 0.5 * x @ theta @ x),
         grad_f=lambda x: g.copy(),
         hess_f=lambda x: theta.copy(),
+        f_batch=lambda X: X @ g + 0.5 * np.einsum("pi,ij,pj->p", X, theta, X),
         G=lambda x: Z.copy(),
-        grad_G=lambda x, m, n: Gv[:, n].copy(),
-        hess_G=lambda x, m, n: np.zeros((K, K)),
+        G_batch=lambda X: np.broadcast_to(Z, (len(X),) + Z.shape).copy(),
+        grad_G_cols=lambda x, rows, cols: Gv[:, cols],
+        weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)),
     )
 
 

@@ -1,16 +1,17 @@
 """Instance constructors: derivative consistency, determinism, file round-trips."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stepopt.geometry import step_norm
 from stepopt.problems import (
-    grad_columns,
+    ProblemInstance,
     load_samples,
     make_counterexample,
     make_norm_opt,
     norm_opt_draw,
     save_samples,
-    weighted_constraint_hessian,
 )
 
 
@@ -22,6 +23,23 @@ def central_diff_grad(fun, x, h=1e-6):
         e[k] = h
         g[k] = (fun(x + e) - fun(x - e)) / (2 * h)
     return g
+
+
+def fd_jacobian(fun, x, h=1e-6):
+    """Central differences of a vector-valued fun: column k is d fun / d x_k."""
+    return np.column_stack([
+        central_diff_grad(lambda y, j=j: fun(y)[j], x, h) for j in range(len(fun(x)))
+    ]).T
+
+
+def gradient_columns_fd(p, x, rows, cols):
+    """Gradients of the entries (rows[j], cols[j]) of G by central differences."""
+    return fd_jacobian(lambda y: p.G(y)[rows, cols], x).T
+
+
+def weighted_hessian_fd(p, x, rows, cols, w):
+    """Hessian of sum_j w[j] * G[rows[j], cols[j]], differencing grad_G_cols."""
+    return fd_jacobian(lambda y: p.grad_G_cols(y, rows, cols) @ w, x)
 
 
 def sample_point(rng, K):
@@ -59,34 +77,40 @@ class TestNormOpt:
             x = sample_point(rng, 5)
             gfd = central_diff_grad(p.f, x)
             np.testing.assert_allclose(p.grad_f(x), gfd, rtol=1e-6, atol=1e-6)
-            for m, n in ((0, 0), (1, 3), (0, 7)):
-                gfd = central_diff_grad(lambda y, m=m, n=n: p.G(y)[m, n], x)
-                np.testing.assert_allclose(p.grad_G(x, m, n), gfd, rtol=1e-5, atol=1e-6)
+            rows, cols = np.array([0, 1, 0]), np.array([0, 3, 7])
+            np.testing.assert_allclose(p.grad_G_cols(x, rows, cols),
+                                       gradient_columns_fd(p, x, rows, cols),
+                                       rtol=1e-5, atol=1e-6)
 
     def test_hessians_match_fd(self):
         rng = np.random.default_rng(12)
         p = make_norm_opt(4, 2, 5, seed=4)
         x = sample_point(rng, 4)
-        for m, n in ((0, 0), (1, 2)):
-            H = p.hess_G(x, m, n)
-            Hfd = np.column_stack([
-                central_diff_grad(lambda y, k=k, m=m, n=n: p.grad_G(y, m, n)[k], x)
-                for k in range(4)
-            ])
-            np.testing.assert_allclose(H, Hfd, rtol=1e-5, atol=1e-5)
+        for rows, cols, w in (([0], [0], [1.0]), ([1], [2], [1.0]),
+                              ([0, 1, 1], [0, 2, 4], rng.uniform(-1.0, 2.0, size=3))):
+            rows, cols, w = np.array(rows), np.array(cols), np.array(w)
+            np.testing.assert_allclose(p.weighted_hess_G(x, rows, cols, w),
+                                       weighted_hessian_fd(p, x, rows, cols, w),
+                                       rtol=1e-5, atol=1e-5)
 
     def test_vectorized_hooks_match_loops(self):
+        # against a loop over the closed forms 2*xi_sq[n, m]*x and
+        # diag(2*xi_sq[n, m]) of each entry's gradient and Hessian
         rng = np.random.default_rng(13)
         p = make_norm_opt(5, 3, 7, seed=5)
         x = sample_point(rng, 5)
         rows = np.array([0, 2, 1, 0])
         cols = np.array([1, 1, 4, 6])
         w = rng.uniform(0.0, 2.0, size=4)
-        loop_g = np.column_stack([p.grad_G(x, m, n) for m, n in zip(rows, cols)])
-        np.testing.assert_allclose(grad_columns(p, x, rows, cols), loop_g, atol=1e-14)
-        loop_h = sum(wi * p.hess_G(x, m, n) for wi, m, n in zip(w, rows, cols))
-        np.testing.assert_allclose(
-            weighted_constraint_hessian(p, x, rows, cols, w), loop_h, atol=1e-13)
+        loop_g = np.column_stack([2.0 * p.xi_sq[n, m] * x for m, n in zip(rows, cols)])
+        np.testing.assert_allclose(p.grad_G_cols(x, rows, cols), loop_g, atol=1e-14)
+        loop_h = sum(wi * np.diag(2.0 * p.xi_sq[n, m]) for wi, m, n in zip(w, rows, cols))
+        np.testing.assert_allclose(p.weighted_hess_G(x, rows, cols, w), loop_h, atol=1e-13)
+        # no entries: an empty (K, 0) block and a zero Hessian
+        none = np.array([], dtype=np.intp)
+        assert p.grad_G_cols(x, none, none).shape == (5, 0)
+        np.testing.assert_array_equal(p.weighted_hess_G(x, none, none, np.array([])),
+                                      np.zeros((5, 5)))
 
     def test_batch_hooks_match_loops(self):
         rng = np.random.default_rng(14)
@@ -125,9 +149,38 @@ class TestCounterexample:
         for _ in range(5):
             x = rng.uniform(-2.0, 3.0, size=2)
             np.testing.assert_allclose(p.grad_f(x), central_diff_grad(p.f, x), atol=1e-6)
-            for n in (0, 1):
-                gfd = central_diff_grad(lambda y, n=n: p.G(y)[0, n], x)
-                np.testing.assert_allclose(p.grad_G(x, 0, n), gfd, atol=1e-6)
+            for cols in ([0], [1], [0, 1], [1, 0]):
+                rows, cols = np.zeros(len(cols), dtype=int), np.array(cols)
+                np.testing.assert_allclose(p.grad_G_cols(x, rows, cols),
+                                           gradient_columns_fd(p, x, rows, cols), atol=1e-6)
+                w = rng.uniform(-1.0, 2.0, size=len(cols))
+                np.testing.assert_allclose(p.weighted_hess_G(x, rows, cols, w),
+                                           weighted_hessian_fd(p, x, rows, cols, w), atol=1e-6)
+
+
+def instance_fields(p):
+    return {f.name: getattr(p, f.name) for f in dataclasses.fields(ProblemInstance)}
+
+
+class TestContract:
+    def test_missing_evaluator_raises_type_error(self):
+        fields = instance_fields(make_counterexample())
+        ProblemInstance(**fields)
+        for name in ("grad_G_cols", "weighted_hess_G", "f_batch", "G_batch"):
+            with pytest.raises(TypeError, match=name):
+                ProblemInstance(**{k: v for k, v in fields.items() if k != name})
+        # the line-search model is the one optional evaluator
+        optional = [f.name for f in dataclasses.fields(ProblemInstance)
+                    if f.default is not dataclasses.MISSING]
+        assert optional == ["violations_along"]
+        ProblemInstance(**{k: v for k, v in fields.items() if k != "violations_along"})
+
+    def test_scalar_callbacks_are_rejected(self):
+        scalar = dict(instance_fields(make_counterexample()),
+                      grad_G=lambda x, m, n: np.zeros(2),
+                      hess_G=lambda x, m, n: np.zeros((2, 2)))
+        with pytest.raises(TypeError, match="grad_G"):
+            ProblemInstance(**scalar)
 
 
 class TestSampleFiles:

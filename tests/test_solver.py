@@ -1,4 +1,6 @@
 """Solver unit tests: candidate columns, directions, line search, full runs."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,26 +34,20 @@ from stepopt.stationarity import (
     stationarity_residual,
 )
 
+from reshape_fixtures import constant_constraints, reshape_constraints
+
 
 def quad_problem(M, N, c, offset):
     """f(x) = 0.5*||x||^2 + c.x with G(x) = col-major reshape of x plus offset."""
     K = M * N
     c = np.asarray(c, dtype=float)
-    offset = np.asarray(offset, dtype=float).reshape(M, N)
-
-    def grad_G(x, m, n):
-        e = np.zeros(K)
-        e[n * M + m] = 1.0
-        return e
-
     return ProblemInstance(
         K=K, M=M, N=N,
         f=lambda x: float(0.5 * x @ x + c @ x),
         grad_f=lambda x: x + c,
         hess_f=lambda x: np.eye(K),
-        G=lambda x: np.reshape(x, (M, N), order="F") + offset,
-        grad_G=grad_G,
-        hess_G=lambda x, m, n: np.zeros((K, K)),
+        f_batch=lambda X: 0.5 * (X * X).sum(axis=1) + X @ c,
+        **reshape_constraints(M, N, offset),
     )
 
 
@@ -59,21 +55,13 @@ def flat_problem(M, N, c, offset):
     """Linear objective c.x, same constraints as quad_problem; zero curvature."""
     K = M * N
     c = np.asarray(c, dtype=float)
-    offset = np.asarray(offset, dtype=float).reshape(M, N)
-
-    def grad_G(x, m, n):
-        e = np.zeros(K)
-        e[n * M + m] = 1.0
-        return e
-
     return ProblemInstance(
         K=K, M=M, N=N,
         f=lambda x: float(c @ x),
         grad_f=lambda x: c.copy(),
         hess_f=lambda x: np.zeros((K, K)),
-        G=lambda x: np.reshape(x, (M, N), order="F") + offset,
-        grad_G=grad_G,
-        hess_G=lambda x, m, n: np.zeros((K, K)),
+        f_batch=lambda X: X @ c,
+        **reshape_constraints(M, N, offset),
     )
 
 
@@ -87,9 +75,8 @@ def slack_problem(target, M=1, N=2):
         f=lambda x: float(0.5 * np.sum((x - target) ** 2)),
         grad_f=lambda x: x - target,
         hess_f=lambda x: np.eye(K),
-        G=lambda x: -np.ones((M, N)),
-        grad_G=lambda x, m, n: np.zeros(K),
-        hess_G=lambda x, m, n: np.zeros((K, K)),
+        f_batch=lambda X: 0.5 * np.sum((X - target) ** 2, axis=1),
+        **constant_constraints(K, -np.ones((M, N))),
     )
 
 
@@ -283,6 +270,30 @@ def test_solve_from_stationary_start_takes_no_steps():
     assert np.array_equal(res.point.x, start.x)
 
 
+@pytest.mark.parametrize("x_shape,W_shape", [
+    ((10,), (40,)),
+    ((10,), (1, 40)),
+    ((10,), (40, 3)),
+    ((11,), (3, 40)),
+    ((1, 10), (3, 40)),
+])
+def test_solve_rejects_a_start_of_the_wrong_shape(x_shape, W_shape):
+    problem = make_norm_opt(10, 3, 40, seed=0)
+    start = PrimalDualPoint(np.zeros(x_shape), np.zeros(W_shape))
+    with pytest.raises(ValueError, match=r"x of shape \(10,\) and W of shape \(3, 40\)"):
+        solve(problem, SolverConfig(s=2), start=start)
+
+
+@pytest.mark.parametrize("part", ["x", "W"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_a_non_finite_start(part, value):
+    problem = make_norm_opt(10, 3, 40, seed=0)
+    x, W = np.zeros(10), np.zeros((3, 40))
+    (x if part == "x" else W).flat[3] = value
+    with pytest.raises(ValueError, match="start has non-finite entries"):
+        solve(problem, SolverConfig(s=2), start=PrimalDualPoint(x, W))
+
+
 def test_solve_uses_fallback_when_curvature_vanishes():
     problem = flat_problem(1, 2, [1.0, 0.5], -10.0 * np.ones((1, 2)))
     res = solve(problem, SolverConfig(s=1, max_it=3))
@@ -316,12 +327,7 @@ def test_solve_runs_at_most_max_it_iterations(max_it):
 
 def test_solve_aborts_on_nonfinite_constraints():
     problem = slack_problem([1.0, 1.0])
-    bad = ProblemInstance(
-        K=problem.K, M=problem.M, N=problem.N,
-        f=problem.f, grad_f=problem.grad_f, hess_f=problem.hess_f,
-        G=lambda x: np.full((problem.M, problem.N), np.nan),
-        grad_G=problem.grad_G, hess_G=problem.hess_G,
-    )
+    bad = dataclasses.replace(problem, G=lambda x: np.full((problem.M, problem.N), np.nan))
     with pytest.raises(SolverAbort):
         solve(bad, SolverConfig(s=1))
 

@@ -3,7 +3,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from stepopt.geometry import project_step
 from stepopt.problems import ProblemInstance, make_counterexample, make_norm_opt
@@ -15,10 +14,11 @@ from stepopt.stationarity import (
     check_kkt,
     check_tau_stationary,
     max_stationary_tau,
-    nnls,
     smoothed_jacobian,
     stationarity_residual,
 )
+
+from reshape_fixtures import reshape_constraints
 
 
 def linear_problem(M, N, c, offset=None):
@@ -29,30 +29,13 @@ def linear_problem(M, N, c, offset=None):
     """
     K = M * N
     c = np.asarray(c, dtype=float)
-    offset = np.zeros((M, N)) if offset is None else np.asarray(offset, dtype=float)
-
-    def f(x):
-        return float(c @ x)
-
-    def grad_f(x):
-        return c.copy()
-
-    def hess_f(x):
-        return np.zeros((K, K))
-
-    def G(x):
-        return np.asarray(x, dtype=float).reshape((M, N), order="F") + offset
-
-    def grad_G(x, m, n):
-        e = np.zeros(K)
-        e[n * M + m] = 1.0
-        return e
-
-    def hess_G(x, m, n):
-        return np.zeros((K, K))
-
-    return ProblemInstance(K=K, M=M, N=N, f=f, grad_f=grad_f, hess_f=hess_f,
-                           G=G, grad_G=grad_G, hess_G=hess_G)
+    offset = np.zeros((M, N)) if offset is None else offset
+    return ProblemInstance(K=K, M=M, N=N,
+                           f=lambda x: float(c @ x),
+                           grad_f=lambda x: c.copy(),
+                           hess_f=lambda x: np.zeros((K, K)),
+                           f_batch=lambda X: X @ c,
+                           **reshape_constraints(M, N, offset))
 
 
 class TestActiveSet:
@@ -148,39 +131,63 @@ class TestResidual:
         np.testing.assert_allclose(D, expect, atol=1e-15)
 
 
+def fit_problem(A, b):
+    """An instance whose check_kkt solves min ||A c - b|| over c >= 0.
+
+    f(x) = -<b, x> and G = (0, ..., 0, 1) for all x, with budget 1: the
+    last column violates, the n zero-max columns before it are active and
+    have the columns of A as constraint gradients.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    K, n = A.shape
+    grads = np.column_stack([A, np.zeros(K)])
+    Z = np.zeros((1, n + 1))
+    Z[0, n] = 1.0
+    return ProblemInstance(
+        K=K, M=1, N=n + 1,
+        f=lambda x: float(-b @ x),
+        grad_f=lambda x: -b,
+        hess_f=lambda x: np.zeros((K, K)),
+        f_batch=lambda X: -(X @ b),
+        G=lambda x: Z.copy(),
+        G_batch=lambda X: np.broadcast_to(Z, (len(X), 1, n + 1)).copy(),
+        grad_G_cols=lambda x, rows, cols: grads[:, cols],
+        weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)),
+    )
+
+
+def kkt_fit(A, b):
+    """check_kkt's multipliers and residual on ``fit_problem(A, b)``."""
+    rep = check_kkt(fit_problem(A, b), np.zeros(len(b)), s=1)
+    n = np.shape(A)[1]
+    assert rep.active.pairs == tuple((0, j) for j in range(n))
+    assert rep.witness_W[0, n] == 0.0
+    return rep.witness_W[0, :n], rep.residual
+
+
 class TestNNLS:
+    """The nonnegative multiplier fit, through check_kkt's witness."""
+
     def test_optimality_conditions(self):
         # convexity makes the first-order conditions a complete oracle:
-        # feasible, zero dual on the support, nonpositive dual on the zeros
+        # feasible, zero dual on the support, nonpositive dual on the zeros;
+        # tall and wide active-gradient matrices alike
         rng = np.random.default_rng(7)
         for _ in range(200):
             m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             A = rng.standard_normal((m, n))
             b = rng.standard_normal(m)
-            c, res = nnls(A, b)
+            c, res = kkt_fit(A, b)
             assert (c >= 0).all()
             assert res == pytest.approx(np.linalg.norm(A @ c - b), abs=1e-10)
             w = A.T @ (b - A @ c)
             assert (np.abs(w[c > 1e-8]) < 1e-7).all()
             assert (w[c <= 1e-8] < 1e-7).all()
 
-    def test_against_scipy_tall(self):
-        # scipy 1.15's rewrite mishandles some wide systems, so the direct
-        # comparison sticks to m >= n where it is dependable
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            n = int(rng.integers(1, 6))
-            m = n + int(rng.integers(0, 4))
-            A = rng.standard_normal((m, n))
-            b = rng.standard_normal(m)
-            c, res = nnls(A, b)
-            c_ref, res_ref = scipy.optimize.nnls(A, b)
-            assert res == pytest.approx(res_ref, abs=1e-8)
-            np.testing.assert_allclose(c, c_ref, atol=1e-8)
-
     def test_exact_fit(self):
         A = np.array([[2.0, 0.0], [-1.0, 1.0]])
-        c, res = nnls(A, A @ np.array([1.0, 1.0]))
+        c, res = kkt_fit(A, A @ np.array([1.0, 1.0]))
         np.testing.assert_allclose(c, [1.0, 1.0], atol=1e-12)
         assert res <= 1e-12
 
@@ -190,7 +197,7 @@ class TestNNLS:
         rng = np.random.default_rng(8)
         A = rng.standard_normal((6, 4))
         b = rng.standard_normal(6)
-        c, _ = nnls(A, b)
+        c, _ = kkt_fit(A, b)
         ts = np.linspace(0.0, 1.0, 11)
         vals = [np.linalg.norm(A @ (t * c) - b) for t in ts]
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(10))
@@ -333,23 +340,26 @@ class TestMaxStationaryTau:
     def test_rank_deficiency_raises(self):
         # duplicate constraint rows make the active gradients rank deficient
         M, N = 2, 2
-        offset = np.array([[0.0, -1.0], [0.0, -1.0]])
         K = M * N
 
-        def G(x):
-            return np.array([[x[0], x[1] - 1.0], [x[0], x[1] - 1.0]])
+        def G_batch(X):
+            row = np.stack([X[:, 0], X[:, 1] - 1.0], axis=1)
+            return np.stack([row, row], axis=1)
 
-        def grad_G(x, m, n):
-            e = np.zeros(K)
-            e[2 * n] = 1.0
-            return e
+        def grad_G_cols(x, rows, cols):
+            # both rows of column n have the gradient e_n
+            out = np.zeros((K, len(cols)))
+            out[cols, np.arange(len(cols))] = 1.0
+            return out
 
         p = ProblemInstance(K=K, M=M, N=N,
                             f=lambda x: float(x[0]),
                             grad_f=lambda x: np.array([1.0, 0.0, 0.0, 0.0]),
                             hess_f=lambda x: np.zeros((K, K)),
-                            G=G, grad_G=grad_G,
-                            hess_G=lambda x, m, n: np.zeros((K, K)))
+                            f_batch=lambda X: X[:, 0].copy(),
+                            G=lambda x: G_batch(np.asarray(x)[None])[0],
+                            G_batch=G_batch, grad_G_cols=grad_G_cols,
+                            weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)))
         x = np.zeros(K)
         x[1] = 1.5  # second column violates, first is zero-max: budget tight
         with pytest.raises(ValueError, match="rank deficient"):
