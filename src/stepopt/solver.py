@@ -213,8 +213,7 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
         raise ValueError(f"illegal value in argument {-info} of getrs")
     if not np.all(np.isfinite(head)):
         return None, False
-    crows, ccols = V.complement()
-    return np.concatenate([head, -W[crows, ccols]]), True
+    return np.concatenate([head, -np.delete(W.T.ravel(), V.flat)]), True
 
 
 def fallback_direction(problem: ProblemInstance, point: PrimalDualPoint, V: ActiveSet,
@@ -288,6 +287,12 @@ def solve(problem: ProblemInstance, config: SolverConfig,
     in a row).  Raises ValueError when ``start`` does not have shapes (K,)
     and (M, N) or is not finite, and :class:`SolverAbort` on non-finite
     iterates.
+
+    Each iterate evaluates G once, except after a zero step that leaves
+    the bytes of x unchanged: then G(x), the active set and the residual
+    norm of the previous iterate stand.  The multipliers are updated with
+    one dense add of the step put back into matrix form
+    (:meth:`ActiveSet.unstack`).
     """
     s, tau = config.s, config.tau
     gamma = config.gamma if config.gamma is not None else 3.0 / s
@@ -311,9 +316,9 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         cols = select_candidate_columns(Z + tau * W, s)
         V = active_set(problem, PrimalDualPoint(x, W), tau, cols, Z=Z)
         F = stationarity_residual(problem, PrimalDualPoint(x, W), V, Z=Z)
-        return Z, V, F, float(np.linalg.norm(F))
+        return Z, V, float(np.linalg.norm(F))
 
-    Z, V, F, res = refresh(x, W)
+    Z, V, res = refresh(x, W)
     mu = min(config.mu_bar, config.rho * res)
 
     trace: list[IterationRecord] = []
@@ -353,16 +358,18 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             iter=it, residual=res, objective=problem.f(x),
             violations=violations, step=alpha, mu=mu, direction_kind=kind))
 
-        x = x + alpha * d[:K]
-        if len(V):
-            W[V.rows, V.cols] += alpha * d[K:K + len(V)]
-        crows, ccols = V.complement()
-        if crows.size:
-            W[crows, ccols] += alpha * d[K + len(V):]
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(W))):
+        x_next = x + alpha * d[:K]
+        # one add per entry of W, on V and off it alike
+        W += alpha * V.unstack(d[K:])
+        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(W))):
             raise SolverAbort(f"non-finite iterate at iteration {it}")
 
-        Z, V, F, res = refresh(x, W)
+        # A zero step that leaves the bytes of x leaves G(x), and changes W
+        # at most in the sign of a zero, which the comparisons and norms of
+        # refresh do not see: Z, V and res stand.
+        if alpha != 0.0 or x_next.tobytes() != x.tobytes():
+            Z, V, res = refresh(x_next, W)
+        x = x_next
         mu = min(config.nu * mu, config.rho * res)
         it += 1
 

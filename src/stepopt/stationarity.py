@@ -55,8 +55,12 @@ class ActiveSet:
 
     Pairs are stored column-major (sorted by column, then row) so that
     restrictions of a flattened matrix keep a fixed, reproducible order.
-    ``rows`` and ``cols`` hold them as read-only index arrays; ``pairs``
-    gives the same positions as a tuple of (row, col) int pairs.
+    ``rows`` and ``cols`` hold them as read-only index arrays, and ``flat``
+    as the read-only, strictly increasing positions ``cols*M + rows`` in
+    the column-major flattening ``W.T.ravel()``; ``pairs`` gives the same
+    positions as a tuple of (row, col) int pairs.  The entries of a matrix
+    off the set are ``np.delete(W.T.ravel(), V.flat)``, in the order of
+    ``complement()``.
     """
 
     def __init__(self, pairs, shape):
@@ -76,15 +80,21 @@ class ActiveSet:
         """The True positions of a boolean (M, N) mask."""
         # nonzero of the transpose is column-major, unique and in range
         cols, rows = np.nonzero(mask.T)
+        return cls._trusted(rows, cols, mask.shape)
+
+    @classmethod
+    def _trusted(cls, rows, cols, shape) -> "ActiveSet":
+        """A set from index arrays already unique, in range and column-major."""
         out = cls.__new__(cls)
-        out._init(rows, cols, mask.shape)
+        out._init(rows, cols, shape)
         return out
 
     def _init(self, rows, cols, shape):
         M, N = shape
-        rows.flags.writeable = False
-        cols.flags.writeable = False
-        self.rows, self.cols = rows, cols
+        flat = cols * M + rows
+        for a in (rows, cols, flat):
+            a.flags.writeable = False
+        self.rows, self.cols, self.flat = rows, cols, flat
         self.shape = (int(M), int(N))
         self._pairs = None
         self._complement = None
@@ -103,22 +113,38 @@ class ActiveSet:
     def complement(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows and cols of the complementary positions, column-major."""
         if self._complement is None:
-            ns, ms = np.nonzero(~self.mask().T)
+            M, N = self.shape
+            ns, ms = np.divmod(np.delete(np.arange(M * N), self.flat), M)
             ms.flags.writeable = False
             ns.flags.writeable = False
             self._complement = (ms, ns)
         return self._complement
+
+    def unstack(self, v: np.ndarray) -> np.ndarray:
+        """The (M, N) matrix whose entries on the set, then off it, are ``v``.
+
+        The inverse of stacking ``W[V.rows, V.cols]`` on
+        ``np.delete(W.T.ravel(), V.flat)``, the order of the multiplier
+        blocks of the stationarity residual; the result is a transposed
+        view of a new array.
+        """
+        M, N = self.shape
+        off = np.ones(M * N, dtype=bool)
+        off[self.flat] = False
+        out = np.empty(M * N, dtype=v.dtype)
+        out[self.flat] = v[:len(self)]
+        out[off] = v[len(self):]
+        return out.reshape(N, M).T
 
     def __len__(self):
         return self.rows.size
 
     def __eq__(self, other):
         return (isinstance(other, ActiveSet) and self.shape == other.shape
-                and np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.cols, other.cols))
+                and np.array_equal(self.flat, other.flat))
 
     def __hash__(self):
-        return hash((self.shape, self.rows.tobytes(), self.cols.tobytes()))
+        return hash((self.shape, self.flat.tobytes()))
 
     def __repr__(self):
         return f"ActiveSet({list(self.pairs)!r}, shape={self.shape})"
@@ -147,18 +173,20 @@ def active_set(problem: ProblemInstance, point: PrimalDualPoint, tau: float, col
                ztol: float = 0.0, Z: Optional[np.ndarray] = None) -> ActiveSet:
     """Positions (m, n) with n in cols where G(x) + tau*W is >= -ztol.
 
-    ``Z`` is G(x) when the caller has it; it is computed otherwise.
+    ``Z`` is G(x) when the caller has it; it is computed otherwise.  Only
+    the columns in ``cols`` are read.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if Z is None:
         Z = problem.G(point.x)
-    lam = Z + tau * point.W
-    mask = np.zeros(lam.shape, dtype=bool)
-    cols = np.asarray(cols, dtype=int)
-    if cols.size:
-        mask[:, cols] = lam[:, cols] >= -ztol
-    return ActiveSet.from_mask(mask)
+    # ascending and unique, so that the set comes out column-major
+    picked = np.zeros(Z.shape[1], dtype=bool)
+    picked[np.asarray(cols, dtype=int)] = True
+    cols = np.flatnonzero(picked)
+    lam = Z[:, cols] + tau * point.W[:, cols]
+    at, rows = np.nonzero((lam >= -ztol).T)
+    return ActiveSet._trusted(rows, cols[at], Z.shape)
 
 
 def stationarity_residual(problem: ProblemInstance, point: PrimalDualPoint,
@@ -170,8 +198,7 @@ def stationarity_residual(problem: ProblemInstance, point: PrimalDualPoint,
     g = problem.grad_f(x).astype(float, copy=True)
     if len(V):
         g += problem.grad_G_cols(x, V.rows, V.cols) @ W[V.rows, V.cols]
-    crows, ccols = V.complement()
-    return np.concatenate([g, Z[V.rows, V.cols], W[crows, ccols]])
+    return np.concatenate([g, Z[V.rows, V.cols], np.delete(W.T.ravel(), V.flat)])
 
 
 def smoothed_jacobian(problem: ProblemInstance, point: PrimalDualPoint,

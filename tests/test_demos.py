@@ -14,7 +14,9 @@ def test_all_five_demos_are_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, tmp_path, monkeypatch, capsys):
-    # demo 05 writes its files under tempfile.mkdtemp(): keep them in tmp_path
+    # demo 05 writes its files into a temporary directory: create it in
+    # tmp_path, and require that the demo removes it
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+    assert not any(tmp_path.iterdir())

@@ -1,5 +1,6 @@
 """Solver unit tests: candidate columns, directions, line search, full runs."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -357,6 +358,65 @@ def test_solve_stalls_cleanly_when_budget_blocks_progress():
     bound = (gamma_for(0.05, 5) + 1.0) * 5
     assert step_norm(problem.G(res.point.x)) <= bound
     assert res.trace[-1].step == 0.0
+
+
+@pytest.mark.parametrize("shape", [(50, 20, 200, 40.0), (10, 1, 100, 14.0)],
+                         ids=["K50-M20-N200", "paper"])
+def test_zero_steps_keep_the_state_of_the_returned_point(shape):
+    # A zero step reuses G, V and the residual norm of the previous refresh;
+    # they must equal what a fresh G gives at the returned point.
+    K, M, N, b = shape
+    s = math.ceil(0.05 * N)
+    cfg = SolverConfig(s=s, gamma=gamma_for(0.05, s))
+    zero_steps = 0
+    for seed in range(6):
+        problem = make_norm_opt(K, M, N, b=b, seed=seed)
+        res = solve(problem, cfg)
+        zero_steps += sum(rec.step == 0.0 for rec in res.trace)
+        pt = res.point
+        Z = problem.G(pt.x)
+        V = active_set(problem, pt, cfg.tau, select_candidate_columns(Z + cfg.tau * pt.W, s), Z=Z)
+        assert res.active == V
+        assert res.final_residual == float(np.linalg.norm(stationarity_residual(problem, pt, V, Z=Z)))
+    assert zero_steps > 0
+
+
+def test_zero_step_that_flips_a_zero_of_x_refreshes():
+    # G reads the sign of x[0]: -0.0 and +0.0 give different constraint
+    # matrices, each with more violating columns than the cap allows, so
+    # every search stalls.  The first zero step turns x[0] = -0.0 into
+    # +0.0 (the direction there is positive), so G must be evaluated again.
+    K, M, N = 2, 1, 8
+    neg = np.where(np.arange(N) < 6, 1.0, -1.0)[None, :]
+    pos = neg[:, ::-1] * 2.0
+    target = np.ones(K)
+
+    def G(x):
+        return (neg if np.signbit(x[0]) else pos).copy()
+
+    problem = ProblemInstance(
+        K=K, M=M, N=N,
+        f=lambda x: float(0.5 * np.sum((x - target) ** 2)),
+        grad_f=lambda x: x - target,
+        hess_f=lambda x: np.eye(K),
+        f_batch=lambda X: 0.5 * np.sum((X - target) ** 2, axis=1),
+        G=G,
+        G_batch=lambda X: np.stack([G(x) for x in X]),
+        grad_G_cols=lambda x, rows, cols: np.zeros((K, len(rows))),
+        weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)),
+    )
+    cfg = SolverConfig(s=1, gamma=0.5)
+    res = solve(problem, cfg, start=PrimalDualPoint(np.array([-0.0, 0.0]), np.zeros((M, N))))
+
+    assert res.status == "LineSearchStalled"
+    assert [rec.step for rec in res.trace] == [0.0, 0.0]
+    assert res.trace[0].violations == 6 and res.trace[1].violations == 6
+    pt = res.point
+    Z = problem.G(pt.x)
+    assert not np.signbit(pt.x[0]) and np.array_equal(Z, pos)
+    V = active_set(problem, pt, cfg.tau, select_candidate_columns(Z + cfg.tau * pt.W, 1), Z=Z)
+    assert res.active == V and V.cols.tolist() == [3, 4, 5, 6, 7]
+    assert res.final_residual == float(np.linalg.norm(stationarity_residual(problem, pt, V, Z=Z)))
 
 
 def test_solve_trace_records_prestep_state():
