@@ -113,8 +113,7 @@ class ActiveSet:
     def complement(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows and cols of the complementary positions, column-major."""
         if self._complement is None:
-            M, N = self.shape
-            ns, ms = np.divmod(np.delete(np.arange(M * N), self.flat), M)
+            ns, ms = np.nonzero(~self.mask().T)
             ms.flags.writeable = False
             ns.flags.writeable = False
             self._complement = (ms, ns)

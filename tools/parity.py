@@ -1,15 +1,15 @@
 """Bit-for-bit parity of the benchmark's outputs between two checkouts.
 
-    python3 tools/parity.py (--against DIR | --rev REV) [--seeds 5 7]
+    python3 tools/parity.py --against DIR [--seeds 5 7]
         [--workloads paper wide analysis] [--limit N]
 
 Run from anywhere; "this tree" is the checkout that holds this script,
 uncommitted changes included.  The other side is a second checkout of the
-repository: a directory given by --against, or commit REV unpacked with
-``git archive`` into a temporary directory.  For every workload and bench
-seed, each side builds the pool with its own ``bench/workloads.py`` and
-``src/stepopt`` in a fresh interpreter with one BLAS thread, runs every
-item, and reduces the output to exact values: floats by their hex form,
+repository in DIR; to compare against a commit, check it out first, for
+example with ``git worktree add ../parent HEAD~1`` and ``--against
+../parent``.  For every workload and bench seed, each side builds the pool
+with its own ``bench/workloads.py`` and ``src/stepopt`` in a fresh
+interpreter with one BLAS thread, runs every item, and reduces the output to exact values: floats by their hex form,
 arrays by dtype, shape and bytes.  A solve is compared on ``x`` and ``W``,
 status, iterations, trace, ``final_residual``, final report, active set,
 the workload's check and its quality verdicts; an analysis task on the
@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import os
 import pickle
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -126,13 +124,6 @@ def differences(ours, theirs) -> list[str]:
             for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
 
 
-def unpack(rev: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-                         stdout=subprocess.PIPE, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(dest, filter="data")
-
-
 def compare(other: Path, seeds, names, limit) -> int:
     failed = False
     for name in names:
@@ -151,7 +142,6 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     side = p.add_mutually_exclusive_group(required=True)
     side.add_argument("--against", type=Path, help="directory of the other checkout")
-    side.add_argument("--rev", help="commit to unpack with git archive and compare against")
     side.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--seeds", type=int, nargs="+", default=[5, 7])
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
@@ -168,10 +158,6 @@ def main(argv=None) -> int:
         out = dump(args.dump, args.workloads[0], args.seeds[0], args.limit)
         sys.stdout.buffer.write(pickle.dumps(out))
         return 0
-    if args.rev is not None:
-        with tempfile.TemporaryDirectory(prefix="stepopt-parity-") as tmp:
-            unpack(args.rev, Path(tmp))
-            return compare(Path(tmp), args.seeds, args.workloads, args.limit)
     if not (args.against / "bench" / "workloads.py").is_file():
         print(f"error: {args.against} is not a checkout of the repository", file=sys.stderr)
         return 2
