@@ -142,26 +142,34 @@ class BipModel:
         object.__setattr__(self, "constraint_names", tuple(names))
 
     def to_lp(self) -> str:
-        """Render the model as deterministic LP-format text."""
+        """Render the model as deterministic LP-format text.
+
+        Numbers are written as ``repr`` of Python floats, so the text
+        round-trips every coefficient exactly.  The K quadratic terms of a
+        row share one wrapped template, filled from the flattened samples;
+        the big-M and right-hand-side terms are formatted once per column.
+        """
+        K, M, N = self.K, self.M, self.N
         head = [
             "\\ mixed-binary reformulation of the sampled norm-design program",
-            f"\\ K={self.K} M={self.M} N={self.N} s={self.s} b={_num(self.b)}"
+            f"\\ K={K} M={M} N={N} s={self.s} b={_num(self.b)}"
             + (f" seed={self.seed}" if self.seed is not None else ""),
         ]
-        obj = _wrap([f"- x{k + 1}" for k in range(self.K)], joiner=" ")
-        rows = [" card: " + _wrap([f"y{n + 1}" for n in range(self.N)])
-                + f" >= {self.N - self.s}"]
-        for n in range(self.N):
-            for m in range(self.M):
-                quad = _wrap([f"{_num(self.xi_sq[n, m, k])} x{k + 1} ^2"
-                              for k in range(self.K)])
-                rows.append(
-                    f" g{m + 1}_{n + 1}: [ {quad} ] + {_num(self.big_M[n])} y{n + 1}"
-                    f" <= {_num(self.big_M[n] + self.b)}")
-        bounds = [f" x{k + 1} >= 0" for k in range(self.K)]
-        names_y = [f"y{n + 1}" for n in range(self.N)]
+        obj = _wrap([f"- x{k + 1}" for k in range(K)], joiner=" ")
+        rows = [" card: " + _wrap([f"y{n + 1}" for n in range(N)])
+                + f" >= {N - self.s}"]
+        quad = _wrap([f"{{}} x{k + 1} ^2" for k in range(K)]).format
+        coef = list(map(repr, np.asarray(self.xi_sq, dtype=float).ravel().tolist()))
+        b = float(self.b)
+        for n, big in enumerate(self.big_M.tolist()):
+            tail = f" ] + {big!r} y{n + 1} <= {big + b!r}"
+            for m in range(M):
+                i = (n * M + m) * K
+                rows.append(f" g{m + 1}_{n + 1}: [ " + quad(*coef[i:i + K]) + tail)
+        bounds = [f" x{k + 1} >= 0" for k in range(K)]
+        names_y = [f"y{n + 1}" for n in range(N)]
         binary = [" " + " ".join(names_y[i:i + 10])
-                  for i in range(0, self.N, 10)]
+                  for i in range(0, N, 10)]
         return "\n".join(
             head
             + ["Minimize", " obj: " + obj, "Subject To"]

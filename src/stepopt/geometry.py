@@ -119,11 +119,60 @@ class CandidateSetFamily:
         return tuple(int(c) for c in cols) in self.sets
 
 
-def _ranked_positive(part: ColumnPartition) -> np.ndarray:
-    """Columns with positive max, ordered by (pos norm desc, index asc)."""
+def _ranked(cols: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``cols`` ordered by (positive-part norm desc, index asc), where
+    ``norms[j]`` is the norm of column ``cols[j]``."""
+    return cols[np.lexsort((cols, -norms))]
+
+
+def _clamp_family(Z: np.ndarray, s: int, ztol: float):
+    """The candidate family as a boolean (F, N) clamp mask, with r and the
+    representative.
+
+    Row f marks the columns clamped by the f-th member; the rows are in
+    the lexicographic order of the members' sorted index tuples.  Only
+    exact ties at the r-th largest norm give more than one row, and the
+    family size is checked against FAMILY_CAP before any row exists.
+    """
+    if s < 1:
+        raise ValueError(f"violation budget must be >= 1, got {s}")
+    part = column_partition(Z, ztol=ztol)
     gp = part.positive
-    order = np.lexsort((gp, -part.pos_norms[gp]))
-    return gp[order]
+    r = min(int(s), gp.size)
+    base = np.zeros(Z.shape[1], dtype=bool)
+    base[part.zero] = True
+    norms = part.pos_norms[gp]
+    clamp_rep = base.copy()
+    clamp_rep[_ranked(gp, norms)[r:]] = True
+    rep = tuple(np.flatnonzero(clamp_rep).tolist())
+    if r == gp.size:
+        # nothing to choose: every violating column is kept (or there are
+        # none), and the representative is the one member
+        return clamp_rep[None, :], r, rep
+
+    thresh = np.sort(part.pos_norms)[::-1][r - 1]  # r-th largest over all columns
+    tied = gp[norms == thresh]
+    fill = r - np.count_nonzero(norms > thresh)
+    n_sets = math.comb(tied.size, fill)
+    if n_sets > FAMILY_CAP:
+        raise RuntimeError(
+            f"candidate family has {n_sets} members (tie explosion); cap is {FAMILY_CAP}"
+        )
+    if n_sets == 0:
+        return np.zeros((0, base.size), dtype=bool), r, rep
+    # every member clamps the violating columns not above the threshold,
+    # less the ``fill`` tied ones it keeps
+    base[gp[norms <= thresh]] = True
+    combos = itertools.combinations(range(tied.size), fill)
+    kept = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp,
+                       count=n_sets * fill).reshape(n_sets, fill)
+    clamp = np.repeat(base[None, :], n_sets, axis=0)
+    clamp[np.arange(n_sets)[:, None], tied[kept]] = False
+    # of two members, which have equal size, the lexicographically smaller
+    # holds the first column where they differ: sort on the tied columns,
+    # lowest most significant, clamped first
+    order = np.lexsort(~clamp[:, tied[::-1]].T)
+    return clamp[order], r, rep
 
 
 def candidate_sets(Z, s: int, ztol: float = 0.0) -> CandidateSetFamily:
@@ -132,7 +181,14 @@ def candidate_sets(Z, s: int, ztol: float = 0.0) -> CandidateSetFamily:
     With r = min(s, #violating columns), every member clamps all violating
     columns except r of largest positive-part norm, together with all
     columns whose maximum is exactly zero.  The family has more than one
-    member only when column norms tie at the r-th largest value.
+    member only when column norms tie at the r-th largest value; it is
+    empty when, within ``ztol``, a zero-class column outweighs violating
+    ones so that no r of them hold the r largest norms.
+
+    The members are read from one boolean clamp mask over the family,
+    built from a single ``itertools.combinations`` index array; a family
+    of more than FAMILY_CAP members raises RuntimeError before the mask is
+    allocated.
 
     Parameters
     ----------
@@ -146,46 +202,13 @@ def candidate_sets(Z, s: int, ztol: float = 0.0) -> CandidateSetFamily:
     Returns
     -------
     CandidateSetFamily
+        ``sets`` holds sorted tuples of Python ints in lexicographic order.
     """
-    Z = _as_matrix(Z)
-    if s < 1:
-        raise ValueError(f"violation budget must be >= 1, got {s}")
-    part = column_partition(Z, ztol=ztol)
-    gp = part.positive
-    r = min(int(s), gp.size)
-    zero = tuple(int(c) for c in part.zero)
-
-    if r == 0 or r == gp.size:
-        # nothing to choose: keep every violating column (or there are none)
-        keep_all = frozenset(int(c) for c in gp[:r]) if r else frozenset()
-        drop = tuple(sorted(set(int(c) for c in gp) - keep_all))
-        only = tuple(sorted(drop + zero))
-        rep = only
-        return CandidateSetFamily(sets=(only,), r=r, representative=rep)
-
-    norms = part.pos_norms[gp]
-    thresh = np.sort(part.pos_norms)[::-1][r - 1]  # r-th largest over all columns
-    must_keep = [int(c) for c in gp[norms > thresh]]
-    tied = [int(c) for c in gp[norms == thresh]]
-    fill = r - len(must_keep)
-
-    n_sets = math.comb(len(tied), fill)
-    if n_sets > FAMILY_CAP:
-        raise RuntimeError(
-            f"candidate family has {n_sets} members (tie explosion); cap is {FAMILY_CAP}"
-        )
-
-    gp_set = set(int(c) for c in gp)
-    sets = []
-    for extra in itertools.combinations(sorted(tied), fill):
-        kept = set(must_keep) | set(extra)
-        sets.append(tuple(sorted((gp_set - kept) | set(zero))))
-    sets = tuple(sorted(set(sets)))
-
-    ranked = _ranked_positive(part)
-    rep_keep = set(int(c) for c in ranked[:r])
-    rep = tuple(sorted((gp_set - rep_keep) | set(zero)))
-    return CandidateSetFamily(sets=sets, r=r, representative=rep)
+    clamp, r, rep = _clamp_family(_as_matrix(Z), s, ztol)
+    # every member clamps the same number of columns
+    width = np.count_nonzero(clamp[0]) if len(clamp) else 0
+    cols = np.nonzero(clamp)[1].reshape(len(clamp), width).tolist()
+    return CandidateSetFamily(sets=tuple(map(tuple, cols)), r=r, representative=rep)
 
 
 def is_candidate_set(Z, s: int, cols, ztol: float = 0.0) -> bool:
@@ -226,7 +249,11 @@ def project_step(Z, s: int) -> list[np.ndarray]:
 
     Each returned matrix clamps one candidate set of columns to their
     entrywise minimum with zero and copies the rest of Z.  The list has one
-    entry per candidate set; distinct sets give distinct matrices.
+    entry per candidate set, in the order of ``candidate_sets(Z, s).sets``;
+    distinct sets give distinct matrices.  The entries are the rows of one
+    (F, M, N) array filled in a single pass over the family's clamp mask:
+    writing to one leaves the others unchanged, but any one kept alive
+    keeps the whole array alive.
 
     Parameters
     ----------
@@ -237,14 +264,8 @@ def project_step(Z, s: int) -> list[np.ndarray]:
     Z = _as_matrix(Z)
     if not 1 <= s <= Z.shape[1]:
         raise ValueError(f"budget s={s} outside 1..{Z.shape[1]}")
-    fam = candidate_sets(Z, s)
-    out = []
-    for cols in fam.sets:
-        P = Z.copy()
-        idx = list(cols)
-        P[:, idx] = np.minimum(P[:, idx], 0.0)
-        out.append(P)
-    return out
+    clamp = _clamp_family(Z, s, 0.0)[0]
+    return list(np.where(clamp[:, None, :], np.minimum(Z, 0.0), Z))
 
 
 def fixed_point_check(Z, W, tau: float, s: int, tol: float = 0.0) -> bool:

@@ -36,6 +36,8 @@ _TINY = np.finfo(float).tiny
 # coefficients pass _SAFE_VAL: below it no intermediate of G(x + a*d),
 # a <= 1, can overflow, which the rounding bound assumes.
 _SAFE_VAL = 1e300
+# norm_opt_draw fills a buffer of about this many normals at a time
+_DRAW_CHUNK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -243,12 +245,26 @@ def norm_opt_draw(K: int, M: int, b: float = 100.0):
 
     Returns a callable draw(x, count, rng) -> (M, count) matrix whose
     (m, i) entry is sum_k xi_mk^2 x_k^2 - b for an independent draw i.
+
+    The draws go through one buffer of at most about _DRAW_CHUNK_ENTRIES
+    normals, whole scenarios at a time, so memory beyond the output stays
+    bounded whatever ``count`` is.  The normals are taken from ``rng`` in
+    the order of one ``rng.standard_normal((count, M, K))`` call, so the
+    values, and the state ``rng`` is left in, are those of that call.
     """
+    per_chunk = max(1, _DRAW_CHUNK_ENTRIES // (M * K))
 
     def draw(x, count, rng):
         x_sq = np.asarray(x, dtype=float) ** 2
-        xi = rng.standard_normal((count, M, K))
-        return np.einsum("imk,k->mi", xi * xi, x_sq) - b
+        out = np.empty((M, count))
+        buf = np.empty((min(per_chunk, count), M, K))
+        for first in range(0, count, per_chunk):
+            xi = buf[:min(per_chunk, count - first)]
+            rng.standard_normal(out=xi)
+            np.multiply(xi, xi, out=xi)
+            np.einsum("imk,k->mi", xi, x_sq, out=out[:, first:first + len(xi)])
+        out -= b
+        return out
 
     return draw
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .geometry import _ranked_positive, column_partition
+from .geometry import _as_matrix, _ranked
 from .problems import ProblemInstance
 from .stationarity import (
     ActiveSet,
@@ -157,37 +157,41 @@ def select_candidate_columns(lam: np.ndarray, s: int) -> np.ndarray:
     """
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
-    part = column_partition(lam)
-    return np.sort(np.concatenate([_ranked_positive(part)[s:], part.zero]))
+    lam = _as_matrix(lam)
+    col_max = lam.max(axis=0)
+    pos = np.flatnonzero(col_max > 0.0)
+    # positive-part norms of the violating columns only
+    ranked = _ranked(pos, np.linalg.norm(np.maximum(lam[:, pos], 0.0), axis=0))
+    return np.sort(np.concatenate([ranked[s:], np.flatnonzero(col_max == 0.0)]))
 
 
 def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: ActiveSet,
                      mu: float, pivot_tol: float = 1e-12,
-                     Z: Optional[np.ndarray] = None) -> tuple[Optional[np.ndarray], bool]:
+                     Z: Optional[np.ndarray] = None,
+                     F: Optional[np.ndarray] = None) -> tuple[Optional[np.ndarray], bool]:
     """Newton step on the smoothed system, reduced to K + |V| unknowns.
 
     The complement block of the Jacobian is the identity, so its component
     of the direction is just the negated multiplier values; the remaining
-    square system couples x with the multipliers on V.  Returns (direction,
-    True) in block order [x; W on V; W off V], or (None, False) when the LU
-    factorization shows a relative pivot below ``pivot_tol``.
+    square system couples x with the multipliers on V.  Both the system's
+    right-hand side and the complement block are read from ``F``, the
+    stacked residual at (point, V); it is computed when not given, from
+    ``Z`` = G(x) if that is given.  Returns (direction, True) in block
+    order [x; W on V; W off V], or (None, False) when the LU factorization
+    shows a relative pivot below ``pivot_tol``.
     """
     x, W = point.x, point.W
     K = problem.K
-    if Z is None:
-        Z = problem.G(x)
-    g = problem.grad_f(x).astype(float, copy=True)
+    if F is None:
+        F = stationarity_residual(problem, point, V, Z=Z)
     L = len(V)
     n = K + L
-    # [[theta, Gv], [Gv.T, -mu*I]] and its right-hand side, written in
-    # place; Fortran order lets getrf factor A without copying it
+    # [[theta, Gv], [Gv.T, -mu*I]], written in place; Fortran order lets
+    # getrf factor it without copying
     A = np.empty((n, n), order="F")
-    rhs = np.empty(n)
     if L:
         Gv = problem.grad_G_cols(x, V.rows, V.cols)
-        w_v = W[V.rows, V.cols]
-        g += Gv @ w_v
-        np.add(problem.hess_f(x), problem.weighted_hess_G(x, V.rows, V.cols, w_v),
+        np.add(problem.hess_f(x), problem.weighted_hess_G(x, V.rows, V.cols, W[V.rows, V.cols]),
                out=A[:K, :K])
         A[:K, K:] = Gv
         A[K:, :K] = Gv.T
@@ -195,10 +199,9 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
         # there can flip the sign of a zero in the solution
         A[K:, K:] = -mu * 0.0
         A.ravel(order="F")[K * (n + 1)::n + 1] = -mu
-        np.negative(Z[V.rows, V.cols], out=rhs[K:])
     else:
         A[:] = problem.hess_f(x)
-    np.negative(g, out=rhs[:K])
+    rhs = -F[:n]
     scale = np.abs(A).max()
     if not np.isfinite(scale) or scale == 0.0:
         return None, False
@@ -213,13 +216,20 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
         raise ValueError(f"illegal value in argument {-info} of getrs")
     if not np.all(np.isfinite(head)):
         return None, False
-    return np.concatenate([head, -np.delete(W.T.ravel(), V.flat)]), True
+    return np.concatenate([head, -F[n:]]), True
 
 
 def fallback_direction(problem: ProblemInstance, point: PrimalDualPoint, V: ActiveSet,
-                       Z: Optional[np.ndarray] = None) -> np.ndarray:
-    """Steepest residual-descent surrogate: the negated stacked residual."""
-    return -stationarity_residual(problem, point, V, Z=Z)
+                       Z: Optional[np.ndarray] = None,
+                       F: Optional[np.ndarray] = None) -> np.ndarray:
+    """Steepest residual-descent surrogate: the negated stacked residual.
+
+    ``F`` is that residual when the caller has it; it is computed
+    otherwise, from ``Z`` = G(x) if that is given.
+    """
+    if F is None:
+        F = stationarity_residual(problem, point, V, Z=Z)
+    return -F
 
 
 def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.ndarray,
@@ -290,7 +300,9 @@ def solve(problem: ProblemInstance, config: SolverConfig,
 
     Each iterate evaluates G once, except after a zero step that leaves
     the bytes of x unchanged: then G(x), the active set and the residual
-    norm of the previous iterate stand.  The multipliers are updated with
+    norm of the previous iterate stand, and only the stacked residual is
+    rebuilt, when another iteration needs it.  The Newton and fallback
+    directions read that residual rather than assembling it again.  The multipliers are updated with
     one dense add of the step put back into matrix form
     (:meth:`ActiveSet.unstack`).
     """
@@ -316,9 +328,9 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         cols = select_candidate_columns(Z + tau * W, s)
         V = active_set(problem, PrimalDualPoint(x, W), tau, cols, Z=Z)
         F = stationarity_residual(problem, PrimalDualPoint(x, W), V, Z=Z)
-        return Z, V, float(np.linalg.norm(F))
+        return Z, V, F, float(np.linalg.norm(F))
 
-    Z, V, res = refresh(x, W)
+    Z, V, F, res = refresh(x, W)
     mu = min(config.mu_bar, config.rho * res)
 
     trace: list[IterationRecord] = []
@@ -339,11 +351,13 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             break
 
         point = PrimalDualPoint(x, W)
-        d, solvable = newton_direction(problem, point, V, mu, config.pivot_tol, Z=Z)
+        if F is None:
+            F = stationarity_residual(problem, point, V, Z=Z)
+        d, solvable = newton_direction(problem, point, V, mu, config.pivot_tol, F=F)
         if solvable:
             kind = "newton"
         else:
-            d = fallback_direction(problem, point, V, Z=Z)
+            d = fallback_direction(problem, point, V, F=F)
             kind = "fallback"
 
         t, alpha, stalled = feasibility_line_search(
@@ -366,9 +380,13 @@ def solve(problem: ProblemInstance, config: SolverConfig,
 
         # A zero step that leaves the bytes of x leaves G(x), and changes W
         # at most in the sign of a zero, which the comparisons and norms of
-        # refresh do not see: Z, V and res stand.
+        # refresh do not see: Z, V and res stand.  The residual carries
+        # those zeros into the next direction, so it is rebuilt if the
+        # loop goes on.
         if alpha != 0.0 or x_next.tobytes() != x.tobytes():
-            Z, V, res = refresh(x_next, W)
+            Z, V, F, res = refresh(x_next, W)
+        else:
+            F = None
         x = x_next
         mu = min(config.nu * mu, config.rho * res)
         it += 1

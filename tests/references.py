@@ -1,0 +1,105 @@
+"""Straightforward versions of routines that the library computes in array form.
+
+Each function here is the plain loop that a vectorized library routine
+replaced, kept so that tests can compare the two bit for bit or byte for
+byte.  They share no code with the routines they check beyond input
+validation, the partition of columns and the LP line wrapping.
+"""
+import itertools
+import math
+
+import numpy as np
+
+from stepopt.baselines import _wrap
+from stepopt.geometry import FAMILY_CAP, _as_matrix, column_partition
+
+
+def candidate_sets(Z, s, ztol=0.0):
+    """(sets, r, representative), one tuple per ``itertools.combinations`` member."""
+    Z = _as_matrix(Z)
+    part = column_partition(Z, ztol=ztol)
+    gp = part.positive
+    r = min(int(s), gp.size)
+    zero = tuple(int(c) for c in part.zero)
+
+    if r == 0 or r == gp.size:
+        keep_all = frozenset(int(c) for c in gp[:r]) if r else frozenset()
+        drop = tuple(sorted(set(int(c) for c in gp) - keep_all))
+        only = tuple(sorted(drop + zero))
+        return (only,), r, only
+
+    norms = part.pos_norms[gp]
+    thresh = np.sort(part.pos_norms)[::-1][r - 1]
+    must_keep = [int(c) for c in gp[norms > thresh]]
+    tied = [int(c) for c in gp[norms == thresh]]
+    fill = r - len(must_keep)
+    if math.comb(len(tied), fill) > FAMILY_CAP:
+        raise RuntimeError("tie explosion")
+
+    gp_set = set(int(c) for c in gp)
+    sets = []
+    for extra in itertools.combinations(sorted(tied), fill):
+        kept = set(must_keep) | set(extra)
+        sets.append(tuple(sorted((gp_set - kept) | set(zero))))
+    sets = tuple(sorted(set(sets)))
+
+    ranked = gp[np.lexsort((gp, -norms))]
+    rep_keep = set(int(c) for c in ranked[:r])
+    rep = tuple(sorted((gp_set - rep_keep) | set(zero)))
+    return sets, r, rep
+
+
+def project_step(Z, s):
+    """One fresh copy of Z per member, clamped on its columns."""
+    Z = _as_matrix(Z)
+    out = []
+    for cols in candidate_sets(Z, s)[0]:
+        P = Z.copy()
+        idx = list(cols)
+        P[:, idx] = np.minimum(P[:, idx], 0.0)
+        out.append(P)
+    return out
+
+
+def _num(v):
+    return repr(float(v))
+
+
+def to_lp(model):
+    """LP text of a ``BipModel``, formatted one numpy scalar at a time."""
+    head = [
+        "\\ mixed-binary reformulation of the sampled norm-design program",
+        f"\\ K={model.K} M={model.M} N={model.N} s={model.s} b={_num(model.b)}"
+        + (f" seed={model.seed}" if model.seed is not None else ""),
+    ]
+    obj = _wrap([f"- x{k + 1}" for k in range(model.K)], joiner=" ")
+    rows = [" card: " + _wrap([f"y{n + 1}" for n in range(model.N)])
+            + f" >= {model.N - model.s}"]
+    for n in range(model.N):
+        for m in range(model.M):
+            quad = _wrap([f"{_num(model.xi_sq[n, m, k])} x{k + 1} ^2"
+                          for k in range(model.K)])
+            rows.append(
+                f" g{m + 1}_{n + 1}: [ {quad} ] + {_num(model.big_M[n])} y{n + 1}"
+                f" <= {_num(model.big_M[n] + model.b)}")
+    bounds = [f" x{k + 1} >= 0" for k in range(model.K)]
+    names_y = [f"y{n + 1}" for n in range(model.N)]
+    binary = [" " + " ".join(names_y[i:i + 10]) for i in range(0, model.N, 10)]
+    return "\n".join(
+        head
+        + ["Minimize", " obj: " + obj, "Subject To"]
+        + rows
+        + ["Bounds"] + bounds
+        + ["Binary"] + binary
+        + ["End", ""])
+
+
+def norm_opt_draw(K, M, b=100.0):
+    """Sampler drawing all ``count`` scenarios in one (count, M, K) array."""
+
+    def draw(x, count, rng):
+        x_sq = np.asarray(x, dtype=float) ** 2
+        xi = rng.standard_normal((count, M, K))
+        return np.einsum("imk,k->mi", xi * xi, x_sq) - b
+
+    return draw

@@ -11,6 +11,7 @@ from stepopt.baselines import (
 )
 from stepopt.problems import ProblemInstance, make_counterexample, make_norm_opt
 
+import references
 from reshape_fixtures import constant_constraints
 
 
@@ -152,3 +153,19 @@ def test_bip_rejects_bad_inputs():
 def test_bip_header_records_dimensions_and_seed():
     text = build_bip_model(make_norm_opt(2, 1, 3, b=7.5, seed=6), s=2).to_lp()
     assert "\\ K=2 M=1 N=3 s=2 b=7.5 seed=6" in text
+
+
+@pytest.mark.parametrize("seed", [4, None])
+@pytest.mark.parametrize("K", [1, 5, 6, 7, 20])
+def test_lp_text_matches_the_per_coefficient_writer(K, seed):
+    # K = 6 and 7 put the wrap of the quadratic terms at and past one line
+    xi_sq = make_norm_opt(K, 2, 13, seed=4).xi_sq.copy()
+    xi_sq[0, 0] = 1e-7
+    xi_sq[1, 1] = 1e17
+    xi_sq[2, 0, 0] = 0.0
+    model = BipModel(K=K, M=2, N=13, s=3, b=2.5e-8, big_M=np.geomspace(1.0, 1e20, 13),
+                     xi_sq=xi_sq, seed=seed)
+    text = model.to_lp()
+    assert text == references.to_lp(model)
+    assert "1e-07 x1 ^2" in text and "1e+17 x1 ^2" in text and " y13 <= 1e+20" in text
+    assert ("seed=" in text) == (seed is not None)

@@ -1,5 +1,6 @@
 """Bounds tests: frozen values, extended-precision recomputation, MC harness."""
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,7 +13,10 @@ from stepopt.bounds import (
     monte_carlo_feasibility,
     s_lower_bound,
 )
+from stepopt import problems
 from stepopt.problems import norm_opt_draw
+
+import references
 
 
 def mp_dkw(epsilon, beta):
@@ -212,3 +216,31 @@ def test_mc_rejects_bad_ranges():
     with pytest.raises(ValueError):
         monte_carlo_feasibility(always_slack, np.zeros(2), alpha=0.1, s=1,
                                 N=10, trials=0, seed=0)
+
+
+# scenarios per buffer of the (K, M) = (20, 5) sampler
+DRAW_K, DRAW_M = 20, 5
+DRAW_CHUNK = max(1, problems._DRAW_CHUNK_ENTRIES // (DRAW_M * DRAW_K))
+
+
+@pytest.mark.parametrize("count", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 10_000])
+def test_buffered_draw_matches_the_one_shot_draw(count):
+    x = np.linspace(0.5, 1.5, DRAW_K)
+    ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+    got = norm_opt_draw(DRAW_K, DRAW_M, 30.0)(x, count, ours)
+    want = references.norm_opt_draw(DRAW_K, DRAW_M, 30.0)(x, count, theirs)
+    assert got.shape == want.shape == (DRAW_M, count)
+    assert got.tobytes() == want.tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_buffered_draw_memory_is_bounded():
+    count = 10_000
+    draw = norm_opt_draw(DRAW_K, DRAW_M)
+    tracemalloc.start()
+    try:
+        draw(np.ones(DRAW_K), count, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count * DRAW_M * DRAW_K * 8 / 4

@@ -3,17 +3,22 @@
 The solver picks the clamp representative directly, and the tau check tests
 membership directly.  Both must agree with the family that
 ``candidate_sets`` enumerates, on random and on tie-heavy matrices small
-enough to list it.
+enough to list it.  The family itself, built as one clamp mask, and the
+projections read from that mask must match the plain per-member loop of
+``references``.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stepopt.geometry import candidate_sets, column_partition, is_candidate_set
+import references
+import stepopt.geometry as geometry
+from stepopt.geometry import candidate_sets, column_partition, is_candidate_set, project_step
 from stepopt.solver import select_candidate_columns
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -84,3 +89,70 @@ def test_zero_class_column_outweighing_violating_ones():
             assert is_candidate_set(cols, 1, probe, ztol=0.5) == (probe in fam)
     assert candidate_sets(Z[:, :2], 1, ztol=0.5).sets == ((0,),)
     assert candidate_sets(Z, 1, ztol=0.5).sets == ()
+
+
+# one matrix for each family shape the mask must reproduce
+NO_VIOLATION = np.array([[-1.0, 0.0, -0.5], [-2.0, -1.0, 0.0]])      # r = 0
+ALL_KEPT = np.array([[1.0, -1.0, 2.0, 0.0]])                          # r = #positive at s = 2
+EMPTY = np.array([[0.5, 0.75, 0.75], [0.5, -1.0, -1.0], [0.5, -1.0, -1.0]])  # no member at ztol 0.5
+
+
+@PROPERTY
+@given(matrices(), st.integers(1, 11), st.sampled_from([0.0, 0.5]))
+@example(NO_VIOLATION, 1, 0.0)
+@example(ALL_KEPT, 2, 0.0)
+@example(EMPTY, 1, 0.5)
+def test_family_and_projections_match_the_loop(Z, s, ztol):
+    fam = candidate_sets(Z, s, ztol=ztol)
+    assert (fam.sets, fam.r, fam.representative) == references.candidate_sets(Z, s, ztol)
+    assert all(type(c) is int for cols in fam.sets + (fam.representative,) for c in cols)
+    if ztol == 0.0 and s <= Z.shape[1]:
+        got, want = project_step(Z, s), references.project_step(Z, s)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_examples_reach_each_family_shape():
+    assert candidate_sets(NO_VIOLATION, 1).r == 0
+    fam = candidate_sets(ALL_KEPT, 2)
+    assert fam.r == 2 == column_partition(ALL_KEPT).positive.size and fam.sets == ((3,),)
+    assert candidate_sets(EMPTY, 1, ztol=0.5).sets == ()
+
+
+def test_projections_are_independent_rows_of_one_array():
+    Z = np.array([[1.0, 1.0, 1.0, -1.0]])
+    out = project_step(Z, 1)
+    assert [P.tolist() for P in out] == [[[0.0, 0.0, 1.0, -1.0]], [[0.0, 1.0, 0.0, -1.0]],
+                                         [[1.0, 0.0, 0.0, -1.0]]]
+    out[0][0, 0] = 7.0
+    assert out[1][0, 0] == 0.0 and Z[0, 0] == 1.0
+
+
+def test_cap_is_checked_before_the_mask_exists(monkeypatch):
+    # 16 tied columns with room for 8: C(16, 8) members over 40 columns
+    Z = np.full((1, 40), -1.0)
+    Z[0, :16] = 1.0
+    mask_bytes = math.comb(16, 8) * Z.shape[1]
+
+    def peak_growth(call):
+        """Bytes allocated at the peak of ``call`` beyond those held before."""
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+
+    def refused(call):
+        with pytest.raises(RuntimeError, match="tie explosion"):
+            call()
+
+    tracemalloc.start()
+    try:
+        built = peak_growth(lambda: candidate_sets(Z, 8))
+        monkeypatch.setattr(geometry, "FAMILY_CAP", 1)
+        growth = [peak_growth(lambda: refused(lambda: candidate_sets(Z, 8))),
+                  peak_growth(lambda: refused(lambda: project_step(Z, 8)))]
+    finally:
+        tracemalloc.stop()
+    assert built >= mask_bytes
+    assert max(growth) < mask_bytes // 10

@@ -16,7 +16,7 @@ import scipy.linalg
 import stepopt.solver as solver_mod
 from stepopt.problems import ProblemInstance, make_norm_opt
 from stepopt.solver import SolverConfig, gamma_for, newton_direction, solve
-from stepopt.stationarity import ActiveSet, PrimalDualPoint
+from stepopt.stationarity import ActiveSet, PrimalDualPoint, stationarity_residual
 
 
 def reference(problem, point, V, mu, pivot_tol=1e-12, Z=None):
@@ -51,11 +51,11 @@ def reference(problem, point, V, mu, pivot_tol=1e-12, Z=None):
     return np.concatenate([head, -W[crows, ccols]]), True
 
 
-def strict(problem, point, V, mu, pivot_tol=1e-12, Z=None):
+def strict(problem, point, V, mu, pivot_tol=1e-12, Z=None, F=None):
     """``newton_direction`` with every warning raised as an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return newton_direction(problem, point, V, mu, pivot_tol, Z=Z)
+        return newton_direction(problem, point, V, mu, pivot_tol, Z=Z, F=F)
 
 
 def assert_same(got, want):
@@ -67,19 +67,21 @@ def assert_same(got, want):
         assert got[0] is None
 
 
-def recorded_steps(problem, config, monkeypatch):
-    """Arguments of every Newton step that ``solve`` takes on ``problem``."""
+def recorded_steps(problem, config, monkeypatch, start=None):
+    """(problem, point, V, mu, pivot_tol, G(x), F) of every Newton step
+    that ``solve`` takes on ``problem``."""
     calls = []
     plain = solver_mod.newton_direction
 
-    def recorder(problem, point, V, mu, pivot_tol=1e-12, Z=None):
-        # solve updates W in place after the step, so keep copies
+    def recorder(problem, point, V, mu, pivot_tol=1e-12, Z=None, F=None):
+        # solve passes the residual, not G(x), and updates W in place after
+        # the step, so keep copies
         calls.append((problem, PrimalDualPoint(point.x.copy(), point.W.copy()),
-                      V, mu, pivot_tol, Z.copy()))
-        return plain(problem, point, V, mu, pivot_tol, Z=Z)
+                      V, mu, pivot_tol, problem.G(point.x), F.copy()))
+        return plain(problem, point, V, mu, pivot_tol, Z=Z, F=F)
 
     monkeypatch.setattr(solver_mod, "newton_direction", recorder)
-    solve(problem, config)
+    solve(problem, config, start)
     monkeypatch.undo()
     return calls
 
@@ -106,6 +108,31 @@ def test_recorded_steps_match_the_reference_bit_for_bit(K, M, N, b, alpha, monke
             # without Z, G is evaluated inside; same answer
             assert_same(strict(*args[:5]), reference(*args[:5], Z=args[5]))
     assert 0 in sizes and max(sizes) >= 2
+
+
+@pytest.mark.parametrize("K,M,N,b,alpha", SHAPES)
+def test_the_residual_solve_passes_is_current_and_gives_the_same_step(K, M, N, b, alpha,
+                                                                     monkeypatch):
+    # solve hands newton_direction the residual it built in refresh, or
+    # rebuilt after a zero step.  From x = 1, over the budget, the first
+    # search stalls; the zero step then turns the -0.0 multipliers of the
+    # start into +0.0, which the residual carries into the next step.
+    # That start activates most positions, so it runs on M = 1 only.
+    s = math.ceil(alpha * N)
+    starts = [None] + [PrimalDualPoint(np.ones(K), -np.zeros((M, N)))] * (M == 1)
+    after_zero_step = 0
+    for seed in range(4):
+        problem = make_norm_opt(K, M, N, b=b, seed=seed)
+        config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=100)
+        for start in starts:
+            steps = [rec.step for rec in solve(problem, config, start).trace]
+            after_zero_step += steps[:-1].count(0.0)
+            for args in recorded_steps(problem, config, monkeypatch, start):
+                problem, point, V, mu, pivot_tol, Z, F = args
+                assert F.tobytes() == stationarity_residual(problem, point, V, Z=Z).tobytes()
+                assert_same(strict(problem, point, V, mu, pivot_tol, Z=Z, F=F),
+                            strict(problem, point, V, mu, pivot_tol, Z=Z))
+    assert after_zero_step >= 4
 
 
 def constant_problem(theta, Gv, g, Z):
