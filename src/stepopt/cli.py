@@ -207,14 +207,17 @@ def cmd_solve(args) -> int:
     if args.trace:
         write_trace(args.trace, res.trace)
     tol = cfg.tol_scale * problem.K * problem.M * problem.N
-    Z = problem.G(res.point.x)
-    violations = int(np.count_nonzero(Z.max(axis=0) > tol))
+    col_max = problem.G(res.point.x).max(axis=0)
+    # columns over tol, and the strict count the budget s is about
+    violations = int(np.count_nonzero(col_max > tol))
+    strict = int(np.count_nonzero(col_max > 0.0))
     print(f"status={res.status}"
           f" objective={_num(problem.f(res.point.x))}"
           f" violations={violations}"
           f" residual={_num(res.final_residual)}"
           f" time_s={elapsed:.3f}"
-          f" iterations={res.iterations}")
+          f" iterations={res.iterations}"
+          f" strict_violations={strict}")
     return 0
 
 

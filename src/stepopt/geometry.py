@@ -47,7 +47,7 @@ def _as_matrix(Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] < 1:
         raise ValueError("expected a nonempty 2-d constraint value matrix")
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise ValueError("constraint value matrix has non-finite entries")
     return Z
 
@@ -80,7 +80,11 @@ def column_partition(Z, ztol: float = 0.0) -> ColumnPartition:
     ``ztol`` widens the zero class to column maxima within [-ztol, ztol],
     so numerically converged iterates classify like their exact limits.
     """
-    Z = _as_matrix(Z)
+    return _partition(_as_matrix(Z), ztol)
+
+
+def _partition(Z: np.ndarray, ztol: float) -> ColumnPartition:
+    """``column_partition`` of a matrix ``_as_matrix`` has already checked."""
     if ztol < 0:
         raise ValueError(f"ztol must be >= 0, got {ztol}")
     col_max = Z.max(axis=0)
@@ -126,8 +130,8 @@ def _ranked(cols: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def _clamp_family(Z: np.ndarray, s: int, ztol: float):
-    """The candidate family as a boolean (F, N) clamp mask, with r and the
-    representative.
+    """The candidate family of a checked matrix as a boolean (F, N) clamp
+    mask, with r and the representative.
 
     Row f marks the columns clamped by the f-th member; the rows are in
     the lexicographic order of the members' sorted index tuples.  Only
@@ -136,7 +140,7 @@ def _clamp_family(Z: np.ndarray, s: int, ztol: float):
     """
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
-    part = column_partition(Z, ztol=ztol)
+    part = _partition(Z, ztol)
     gp = part.positive
     r = min(int(s), gp.size)
     base = np.zeros(Z.shape[1], dtype=bool)
@@ -226,22 +230,30 @@ def is_candidate_set(Z, s: int, cols, ztol: float = 0.0) -> bool:
         raise ValueError(f"violation budget must be >= 1, got {s}")
     cols = np.asarray(cols).astype(int)
     N = Z.shape[1]
-    if cols.size and not (cols[0] >= 0 and cols[-1] < N and (np.diff(cols) > 0).all()):
+    if cols.size and not (cols[0] >= 0 and cols[-1] < N and (cols[1:] > cols[:-1]).all()):
         return False
-    part = column_partition(Z, ztol=ztol)
+    if ztol < 0:
+        raise ValueError(f"ztol must be >= 0, got {ztol}")
+    # the partition of column_partition, as masks over one pass of maxima
+    col_max = Z.max(axis=0)
+    positive = col_max > ztol
     clamp = np.zeros(N, dtype=bool)
     clamp[cols] = True
-    if not clamp[part.zero].all() or clamp[part.negative].any():
+    # off the violating columns, the clamp set is exactly the zero class
+    if not ((clamp & ~positive) == (np.abs(col_max) <= ztol)).all():
         return False
-    gp = part.positive
-    r = min(int(s), gp.size)
-    if np.count_nonzero(~clamp[gp]) != r:
+    n_pos = np.count_nonzero(positive)
+    r = min(int(s), n_pos)
+    kept = positive & ~clamp
+    if np.count_nonzero(kept) != r:
         return False
-    if r == gp.size:
+    if r == n_pos:
         return True
-    norms = part.pos_norms[gp]
-    thresh = np.sort(part.pos_norms)[::-1][r - 1]  # r-th largest over all columns
-    return not clamp[gp[norms > thresh]].any() and bool(clamp[gp[norms < thresh]].all())
+    pos_norms = np.linalg.norm(np.maximum(Z, 0.0), axis=0)
+    thresh = np.sort(pos_norms)[::-1][r - 1]  # r-th largest over all columns
+    # every violating column above the threshold kept, every one below clamped
+    return not ((positive & clamp & (pos_norms > thresh)).any()
+                or (kept & (pos_norms < thresh)).any())
 
 
 def project_step(Z, s: int) -> list[np.ndarray]:
@@ -291,7 +303,7 @@ def fixed_point_check(Z, W, tau: float, s: int, tol: float = 0.0) -> bool:
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
 
-    part = column_partition(Z)
+    part = _partition(Z, 0.0)
     k = part.positive.size
     if k > s:
         return False
@@ -331,7 +343,7 @@ def normal_cone_member(Z, W, s: int, tol: float = 0.0) -> bool:
     W = np.asarray(W, dtype=float)
     if W.shape != Z.shape:
         raise ValueError(f"W shape {W.shape} does not match Z shape {Z.shape}")
-    part = column_partition(Z)
+    part = _partition(Z, 0.0)
     k = part.positive.size
     if k > s:
         raise ValueError("Z violates the step-norm budget; cone undefined")
@@ -355,7 +367,7 @@ def tangent_cone_member(Z, D, s: int, tol: float = 0.0) -> bool:
     D = np.asarray(D, dtype=float)
     if D.shape != Z.shape:
         raise ValueError(f"D shape {D.shape} does not match Z shape {Z.shape}")
-    part = column_partition(Z)
+    part = _partition(Z, 0.0)
     k = part.positive.size
     if k > s:
         raise ValueError("Z violates the step-norm budget; cone undefined")

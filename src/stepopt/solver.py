@@ -12,9 +12,8 @@ without evaluating G at every trial step.
 """
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -153,22 +152,26 @@ def select_candidate_columns(lam: np.ndarray, s: int) -> np.ndarray:
     Keeps the s columns of largest positive-part norm (ties toward the lower
     index) and clamps the rest together with the zero-max columns: the
     ``representative`` of ``candidate_sets(lam, s)``, found without
-    enumerating that family.
+    enumerating that family.  The columns come from one clamp mask over the
+    column maxima, so they are sorted by construction.
     """
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
     lam = _as_matrix(lam)
     col_max = lam.max(axis=0)
+    clamp = col_max == 0.0
     pos = np.flatnonzero(col_max > 0.0)
-    # positive-part norms of the violating columns only
-    ranked = _ranked(pos, np.linalg.norm(np.maximum(lam[:, pos], 0.0), axis=0))
-    return np.sort(np.concatenate([ranked[s:], np.flatnonzero(col_max == 0.0)]))
+    if pos.size > s:
+        # positive-part norms of the violating columns only
+        clamp[_ranked(pos, np.linalg.norm(np.maximum(lam[:, pos], 0.0), axis=0))[s:]] = True
+    return np.flatnonzero(clamp)
 
 
 def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: ActiveSet,
                      mu: float, pivot_tol: float = 1e-12,
                      Z: Optional[np.ndarray] = None,
-                     F: Optional[np.ndarray] = None) -> tuple[Optional[np.ndarray], bool]:
+                     F: Optional[np.ndarray] = None,
+                     Gv: Optional[np.ndarray] = None) -> tuple[Optional[np.ndarray], bool]:
     """Newton step on the smoothed system, reduced to K + |V| unknowns.
 
     The complement block of the Jacobian is the identity, so its component
@@ -176,21 +179,23 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
     square system couples x with the multipliers on V.  Both the system's
     right-hand side and the complement block are read from ``F``, the
     stacked residual at (point, V); it is computed when not given, from
-    ``Z`` = G(x) if that is given.  Returns (direction, True) in block
-    order [x; W on V; W off V], or (None, False) when the LU factorization
-    shows a relative pivot below ``pivot_tol``.
+    ``Z`` = G(x) if that is given.  ``Gv`` is the gradient columns of V at
+    x, computed when not given.  Returns (direction, True) in block order
+    [x; W on V; W off V], or (None, False) when the LU factorization shows
+    a relative pivot below ``pivot_tol``.
     """
     x, W = point.x, point.W
     K = problem.K
-    if F is None:
-        F = stationarity_residual(problem, point, V, Z=Z)
     L = len(V)
+    if L and Gv is None:
+        Gv = problem.grad_G_cols(x, V.rows, V.cols)
+    if F is None:
+        F = stationarity_residual(problem, point, V, Z=Z, Gv=Gv)
     n = K + L
     # [[theta, Gv], [Gv.T, -mu*I]], written in place; Fortran order lets
     # getrf factor it without copying
     A = np.empty((n, n), order="F")
     if L:
-        Gv = problem.grad_G_cols(x, V.rows, V.cols)
         np.add(problem.hess_f(x), problem.weighted_hess_G(x, V.rows, V.cols, W[V.rows, V.cols]),
                out=A[:K, :K])
         A[:K, K:] = Gv
@@ -214,7 +219,7 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
     head, info = _getrs(lu, piv, rhs, overwrite_b=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
-    if not np.all(np.isfinite(head)):
+    if not np.isfinite(head).all():
         return None, False
     return np.concatenate([head, -F[n:]]), True
 
@@ -250,6 +255,11 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
     the full step with G before building the model, which pays off when
     the full step is likely to pass.  Without the hook every trial step
     goes to G.  The result equals that of calling G at every trial step.
+
+    The steps are decided a chunk at a time, in order: the first step
+    whose upper bound is within the cap ends the search unless G accepts
+    one of the straddling steps before it.  Without the hook every step
+    straddles, with bounds (0, inf), and the chunk is the whole table.
     """
     bound = (gamma + 1.0) * s
 
@@ -258,9 +268,7 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         # step_norm, without its second finiteness pass
         return bool(np.isfinite(Zt).all()) and np.count_nonzero(Zt.max(axis=0) > 0.0) <= bound
 
-    steps = [1.0]
-    for _ in range(t_max):
-        steps.append(steps[-1] * pi)
+    steps = _step_table(float(pi), int(t_max))
     first = 0
     if full_step_first:
         if within(1.0):
@@ -270,22 +278,39 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
     if problem.violations_along is not None and first <= t_max:
         counts = problem.violations_along(x, d_x, problem.G(x) if Z is None else Z)
     if counts is None:
-        # no model: every step is undecided and goes to G
-        count_bounds = repeat((0, math.inf))
+        counts, chunk = _undecided, t_max + 1
     else:
         chunk = max(1, _MODEL_CHUNK_ENTRIES // (problem.M * problem.N))
-        count_bounds = _chunked(counts, steps[first:], chunk)
-    for t, alpha, (lo, hi) in zip(range(first, t_max + 1), steps[first:], count_bounds):
-        if hi <= bound or (lo <= bound and within(alpha)):
-            return t, alpha, False
+    for start in range(first, t_max + 1, chunk):
+        alphas = steps[start:start + chunk]
+        lo, hi = counts(alphas)
+        # the first step the bounds accept, and before it, in order, the
+        # steps whose bounds straddle the cap
+        sure = np.flatnonzero(hi <= bound)
+        stop = int(sure[0]) if sure.size else alphas.size
+        for j in np.flatnonzero(lo[:stop] <= bound).tolist():
+            if within(alphas[j]):
+                return start + j, float(alphas[j]), False
+        if sure.size:
+            return start + stop, float(alphas[stop]), False
     return t_max, 0.0, True
 
 
-def _chunked(counts, alphas, chunk):
-    """(lo, hi) violation-count bounds at each step size, ``chunk`` at a time."""
-    for first in range(0, len(alphas), chunk):
-        lo, hi = counts(np.array(alphas[first:first + chunk]))
-        yield from zip(lo.tolist(), hi.tolist())
+@functools.lru_cache(maxsize=16)
+def _step_table(pi: float, t_max: int) -> np.ndarray:
+    """The read-only trial steps 1, pi, pi*pi, ..., t_max + 1 of them, each
+    the previous one times pi."""
+    steps = [1.0]
+    for _ in range(t_max):
+        steps.append(steps[-1] * pi)
+    out = np.array(steps)
+    out.flags.writeable = False
+    return out
+
+
+def _undecided(alphas):
+    """Violation-count bounds (0, inf) at every step: no model, G decides."""
+    return np.zeros(alphas.size, dtype=np.intp), np.full(alphas.size, np.inf)
 
 
 def solve(problem: ProblemInstance, config: SolverConfig,
@@ -296,15 +321,17 @@ def solve(problem: ProblemInstance, config: SolverConfig,
     'MaxIterations', or 'LineSearchStalled' (backtracking hit its cap twice
     in a row).  Raises ValueError when ``start`` does not have shapes (K,)
     and (M, N) or is not finite, and :class:`SolverAbort` on non-finite
-    iterates.
+    iterates, including G(x) + tau*W overflowing.
 
-    Each iterate evaluates G once, except after a zero step that leaves
-    the bytes of x unchanged: then G(x), the active set and the residual
-    norm of the previous iterate stand, and only the stacked residual is
-    rebuilt, when another iteration needs it.  The Newton and fallback
-    directions read that residual rather than assembling it again.  The multipliers are updated with
-    one dense add of the step put back into matrix form
-    (:meth:`ActiveSet.unstack`).
+    Each iterate evaluates G once and forms G(x) + tau*W once, for the
+    clamp columns and the active set V alike; the gradient columns of V
+    are computed once too, for the residual and the Newton step.  After a
+    zero step that leaves the bytes of x unchanged, G(x), V, its gradient
+    columns and the residual norm of the previous iterate stand, and only
+    the stacked residual is rebuilt, when another iteration needs it.  The
+    Newton and fallback directions read that residual rather than
+    assembling it again.  The multipliers are updated with one dense add
+    of the step put back into matrix form (:meth:`ActiveSet.unstack`).
     """
     s, tau = config.s, config.tau
     gamma = config.gamma if config.gamma is not None else 3.0 / s
@@ -323,14 +350,21 @@ def solve(problem: ProblemInstance, config: SolverConfig,
 
     def refresh(x, W):
         Z = problem.G(x)
-        if not np.all(np.isfinite(Z)):
-            raise SolverAbort("constraint evaluation produced non-finite values")
-        cols = select_candidate_columns(Z + tau * W, s)
-        V = active_set(problem, PrimalDualPoint(x, W), tau, cols, Z=Z)
-        F = stationarity_residual(problem, PrimalDualPoint(x, W), V, Z=Z)
-        return Z, V, F, float(np.linalg.norm(F))
+        # W is finite, so lam is finite unless Z is not or the sum
+        # overflows; both raise SolverAbort, which a warning would only echo
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = Z + tau * W
+        if not np.isfinite(lam).all():
+            if not np.isfinite(Z).all():
+                raise SolverAbort("constraint evaluation produced non-finite values")
+            raise SolverAbort("G(x) + tau*W overflowed")
+        point = PrimalDualPoint(x, W)
+        V = active_set(problem, point, tau, select_candidate_columns(lam, s), lam=lam)
+        Gv = problem.grad_G_cols(x, V.rows, V.cols) if len(V) else None
+        F = stationarity_residual(problem, point, V, Z=Z, Gv=Gv)
+        return Z, V, Gv, F, float(np.linalg.norm(F))
 
-    Z, V, F, res = refresh(x, W)
+    Z, V, Gv, F, res = refresh(x, W)
     mu = min(config.mu_bar, config.rho * res)
 
     trace: list[IterationRecord] = []
@@ -352,8 +386,8 @@ def solve(problem: ProblemInstance, config: SolverConfig,
 
         point = PrimalDualPoint(x, W)
         if F is None:
-            F = stationarity_residual(problem, point, V, Z=Z)
-        d, solvable = newton_direction(problem, point, V, mu, config.pivot_tol, F=F)
+            F = stationarity_residual(problem, point, V, Z=Z, Gv=Gv)
+        d, solvable = newton_direction(problem, point, V, mu, config.pivot_tol, F=F, Gv=Gv)
         if solvable:
             kind = "newton"
         else:
@@ -375,16 +409,16 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         x_next = x + alpha * d[:K]
         # one add per entry of W, on V and off it alike
         W += alpha * V.unstack(d[K:])
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(W))):
+        if not (np.isfinite(x_next).all() and np.isfinite(W).all()):
             raise SolverAbort(f"non-finite iterate at iteration {it}")
 
-        # A zero step that leaves the bytes of x leaves G(x), and changes W
-        # at most in the sign of a zero, which the comparisons and norms of
-        # refresh do not see: Z, V and res stand.  The residual carries
-        # those zeros into the next direction, so it is rebuilt if the
-        # loop goes on.
+        # A zero step that leaves the bytes of x leaves G(x) and the
+        # gradient columns, and changes W at most in the sign of a zero,
+        # which the comparisons and norms of refresh do not see: Z, V, Gv
+        # and res stand.  The residual carries those zeros into the next
+        # direction, so it is rebuilt if the loop goes on.
         if alpha != 0.0 or x_next.tobytes() != x.tobytes():
-            Z, V, F, res = refresh(x_next, W)
+            Z, V, Gv, F, res = refresh(x_next, W)
         else:
             F = None
         x = x_next

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import column_partition, is_candidate_set, step_norm, zero_mask
+from .geometry import _as_matrix, column_partition, is_candidate_set, step_norm, zero_mask
 from .problems import ProblemInstance
 
 __all__ = [
@@ -60,7 +60,8 @@ class ActiveSet:
     the column-major flattening ``W.T.ravel()``; ``pairs`` gives the same
     positions as a tuple of (row, col) int pairs.  The entries of a matrix
     off the set are ``np.delete(W.T.ravel(), V.flat)``, in the order of
-    ``complement()``.
+    ``complement()``; ``off`` is the read-only mask that selects them,
+    ``W.T.ravel()[V.off]``, built on first use and kept.
     """
 
     def __init__(self, pairs, shape):
@@ -98,12 +99,22 @@ class ActiveSet:
         self.shape = (int(M), int(N))
         self._pairs = None
         self._complement = None
+        self._off = None
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         if self._pairs is None:
             self._pairs = tuple(zip(self.rows.tolist(), self.cols.tolist()))
         return self._pairs
+
+    @property
+    def off(self) -> np.ndarray:
+        if self._off is None:
+            off = np.ones(self.shape[0] * self.shape[1], dtype=bool)
+            off[self.flat] = False
+            off.flags.writeable = False
+            self._off = off
+        return self._off
 
     def mask(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=bool)
@@ -128,11 +139,9 @@ class ActiveSet:
         view of a new array.
         """
         M, N = self.shape
-        off = np.ones(M * N, dtype=bool)
-        off[self.flat] = False
         out = np.empty(M * N, dtype=v.dtype)
         out[self.flat] = v[:len(self)]
-        out[off] = v[len(self):]
+        out[self.off] = v[len(self):]
         return out.reshape(N, M).T
 
     def __len__(self):
@@ -169,35 +178,48 @@ class StationarityReport:
 
 
 def active_set(problem: ProblemInstance, point: PrimalDualPoint, tau: float, cols,
-               ztol: float = 0.0, Z: Optional[np.ndarray] = None) -> ActiveSet:
+               ztol: float = 0.0, Z: Optional[np.ndarray] = None,
+               lam: Optional[np.ndarray] = None) -> ActiveSet:
     """Positions (m, n) with n in cols where G(x) + tau*W is >= -ztol.
 
-    ``Z`` is G(x) when the caller has it; it is computed otherwise.  Only
-    the columns in ``cols`` are read.
+    ``lam`` is G(x) + tau*W and ``Z`` is G(x) when the caller has them;
+    they are computed otherwise, and ``lam`` from ``Z``.  Only the columns
+    in ``cols`` are read.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if Z is None:
-        Z = problem.G(point.x)
+    W = point.W
     # ascending and unique, so that the set comes out column-major
-    picked = np.zeros(Z.shape[1], dtype=bool)
+    picked = np.zeros(W.shape[1], dtype=bool)
     picked[np.asarray(cols, dtype=int)] = True
     cols = np.flatnonzero(picked)
-    lam = Z[:, cols] + tau * point.W[:, cols]
+    if lam is not None:
+        lam = lam[:, cols]
+    else:
+        if Z is None:
+            Z = problem.G(point.x)
+        lam = Z[:, cols] + tau * W[:, cols]
     at, rows = np.nonzero((lam >= -ztol).T)
-    return ActiveSet._trusted(rows, cols[at], Z.shape)
+    return ActiveSet._trusted(rows, cols[at], W.shape)
 
 
 def stationarity_residual(problem: ProblemInstance, point: PrimalDualPoint,
-                          V: ActiveSet, Z: Optional[np.ndarray] = None) -> np.ndarray:
-    """Stacked residual [gradient block; G on V; W off V], length K + M*N."""
+                          V: ActiveSet, Z: Optional[np.ndarray] = None,
+                          Gv: Optional[np.ndarray] = None) -> np.ndarray:
+    """Stacked residual [gradient block; G on V; W off V], length K + M*N.
+
+    ``Z`` is G(x) and ``Gv`` the gradient columns of V at x when the
+    caller has them; they are computed otherwise.
+    """
     x, W = point.x, point.W
     if Z is None:
         Z = problem.G(x)
     g = problem.grad_f(x).astype(float, copy=True)
     if len(V):
-        g += problem.grad_G_cols(x, V.rows, V.cols) @ W[V.rows, V.cols]
-    return np.concatenate([g, Z[V.rows, V.cols], np.delete(W.T.ravel(), V.flat)])
+        if Gv is None:
+            Gv = problem.grad_G_cols(x, V.rows, V.cols)
+        g += Gv @ W[V.rows, V.cols]
+    return np.concatenate([g, Z[V.rows, V.cols], W.T.ravel()[V.off]])
 
 
 def smoothed_jacobian(problem: ProblemInstance, point: PrimalDualPoint,
@@ -315,15 +337,20 @@ def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
         raise ValueError(f"tau must be positive, got {tau}")
     if ztol is None:
         ztol = tol
-    if Z is None:
-        Z = problem.G(point.x)
-    part = column_partition(Z, ztol=ztol)
+    if ztol < 0:
+        raise ValueError(f"ztol must be >= 0, got {ztol}")
+    Z = _as_matrix(problem.G(point.x) if Z is None else Z)
+    # Z and lam are each checked and partitioned once: Z here, lam inside
+    # is_candidate_set
+    zero = np.flatnonzero(np.abs(Z.max(axis=0)) <= ztol)
+    lam = Z + tau * point.W
+    clamp_ok = is_candidate_set(lam, s, zero, ztol=ztol)
 
-    clamp_ok = is_candidate_set(Z + tau * point.W, s, part.zero, ztol=ztol)
-
-    V_star = ActiveSet.from_mask(zero_mask(Z, part.zero, ztol))
-    U = active_set(problem, point, tau, part.zero, ztol=ztol, Z=Z)
-    sets_match = U == V_star
+    # the active set of lam on the zero columns against the zeros of Z there
+    on_zero = np.abs(Z[:, zero]) <= ztol
+    at, rows = np.nonzero(on_zero.T)
+    V_star = ActiveSet._trusted(rows, zero[at], Z.shape)
+    sets_match = bool(((lam[:, zero] >= -ztol) == on_zero).all())
 
     res = float(np.linalg.norm(stationarity_residual(problem, point, V_star, Z=Z)))
     return StationarityReport(

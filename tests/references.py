@@ -3,7 +3,9 @@
 Each function here is the plain loop that a vectorized library routine
 replaced, kept so that tests can compare the two bit for bit or byte for
 byte.  They share no code with the routines they check beyond input
-validation, the partition of columns and the LP line wrapping.
+validation, the partition of columns and the LP line wrapping, except the
+tau check, which is the composition of layer functions that the library
+check replaced.
 """
 import itertools
 import math
@@ -103,3 +105,62 @@ def norm_opt_draw(K, M, b=100.0):
         return np.einsum("imk,k->mi", xi * xi, x_sq) - b
 
     return draw
+
+
+def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first, chunk):
+    """(t, alpha, stalled) of the backtracking search one trial step at a time.
+
+    The step sizes are multiplied out in turn, the model's (lo, hi) bounds
+    are taken ``chunk`` steps at a time as the search needs them, and G
+    decides each step whose bounds straddle the cap, in order.
+    """
+    bound = (gamma + 1.0) * s
+
+    def within(alpha):
+        Zt = problem.G(x + alpha * d_x)
+        return bool(np.isfinite(Zt).all()) and np.count_nonzero(Zt.max(axis=0) > 0.0) <= bound
+
+    steps = [1.0]
+    for _ in range(t_max):
+        steps.append(steps[-1] * pi)
+    first = 0
+    if full_step_first:
+        if within(1.0):
+            return 0, 1.0, False
+        first = 1
+    counts = None
+    if problem.violations_along is not None and first <= t_max:
+        counts = problem.violations_along(x, d_x, Z)
+
+    def bounds():
+        if counts is None:
+            yield from itertools.repeat((0, math.inf))
+        for start in range(first, t_max + 1, chunk):
+            lo, hi = counts(np.array(steps[start:start + chunk]))
+            yield from zip(lo.tolist(), hi.tolist())
+
+    for t, alpha, (lo, hi) in zip(range(first, t_max + 1), steps[first:], bounds()):
+        if hi <= bound or (lo <= bound and within(alpha)):
+            return t, alpha, False
+    return t_max, 0.0, True
+
+
+def check_tau_stationary(problem, point, tau, s, tol, ztol):
+    """(satisfied, residual, active, reason) of the projection check, built
+    from the layer functions.
+
+    Clamp-set membership is read from the enumerated family above; the
+    zeros of G(x) and the active set of G(x) + tau*W on the zero-max
+    columns are two ``ActiveSet`` objects compared for equality.
+    """
+    from stepopt.geometry import zero_mask
+    from stepopt.stationarity import ActiveSet, active_set, stationarity_residual
+
+    Z = problem.G(point.x)
+    zero = column_partition(Z, ztol=ztol).zero
+    clamp_ok = tuple(zero.tolist()) in candidate_sets(Z + tau * point.W, s, ztol)[0]
+    V_star = ActiveSet.from_mask(zero_mask(Z, zero, ztol))
+    sets_match = active_set(problem, point, tau, zero, ztol=ztol, Z=Z) == V_star
+    res = float(np.linalg.norm(stationarity_residual(problem, point, V_star, Z=Z)))
+    ok = clamp_ok and sets_match
+    return ok and res <= tol, res, V_star, None if ok else "index conditions failed"

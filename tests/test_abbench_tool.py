@@ -72,6 +72,68 @@ def test_single_pair_and_zero_baseline():
 def test_usage_errors():
     for args in (["--against", str(ROOT), "--workload", "paper", "--seed", "1", "--pairs", "0"],
                  ["--against", str(ROOT / "src"), "--workload", "paper", "--seed", "1"],
-                 ["--against", str(ROOT), "--workload", "nope", "--seed", "1"]):
+                 ["--against", str(ROOT), "--workload", "nope", "--seed", "1"],
+                 ["--against", str(ROOT), "--workload", "paper", "--seed", "1", "--trace", "2"]):
         out = subprocess.run([sys.executable, str(TOOL)] + args, capture_output=True, text=True)
         assert out.returncode == 2, out.stderr
+
+
+LAYER_METRICS = [
+    {"name": "solver.line_search.self_ms_per_op", "unit": "ms", "better": "lower"},
+    {"name": "solver.iterations_per_op", "unit": "count", "better": "lower"},
+    {"name": "bounds.monte_carlo.draws_per_s", "unit": "1/s", "better": "higher"},
+]
+
+
+def traced(search_ms, iters, draws):
+    values = dict(zip([m["name"] for m in LAYER_METRICS], (search_ms, iters, draws)))
+    return {"correct": True, "failed": 0,
+            "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}}
+
+
+# four pairs of traced runs: the search is faster in three, the iteration
+# count does not move, the draw rate spreads widely on the baseline
+TRACED_CHANGE = [traced(0.30, 5.6, 2e6), traced(0.31, 5.6, 3e6),
+                 traced(0.45, 5.6, 2e6), traced(0.29, 5.6, 3e6)]
+TRACED_BASELINE = [traced(0.40, 5.6, 1e6), traced(0.42, 5.6, 4e6),
+                   traced(0.41, 5.6, 1e6), traced(0.43, 5.6, 4e6)]
+
+
+def test_per_layer_summary_of_canned_pairs():
+    rows = {r["metric"]: r for r in abbench.summary(TRACED_CHANGE, TRACED_BASELINE, LAYER_METRICS)}
+    search = rows["solver.line_search.self_ms_per_op"]
+    assert (search["baseline"], search["change"], search["won"]) == (0.415, 0.305, 3)
+    # quartiles of 0.40..0.43 are 0.4075 and 0.4225
+    assert search["baseline_iqr"] == pytest.approx(0.015)
+    iters = rows["solver.iterations_per_op"]
+    assert (iters["baseline"], iters["change"], iters["won"]) == (5.6, 5.6, 0)
+    assert iters["baseline_iqr"] == 0.0
+    draws = rows["bounds.monte_carlo.draws_per_s"]
+    assert (draws["baseline"], draws["change"], draws["won"]) == (2.5e6, 2.5e6, 2)
+    # per-layer metrics have no bound, so even a spread of 120% is not marked
+    assert draws["baseline_iqr_rel"] > 1.0
+    assert not any(r["unresolved"] for r in rows.values())
+
+    lines = abbench.format_rows(list(rows.values()))
+    # the long names widen the metric column, and the columns stay aligned
+    assert len({len(line) for line in lines}) == 1
+    by_name = {line.split()[0]: line.split() for line in lines[1:]}
+    assert by_name["solver.line_search.self_ms_per_op"][1:4] == ["0.415", "0.305", "-26.5%"]
+    assert by_name["solver.iterations_per_op"][-1] == "0/4"
+
+
+def test_trace_option_summarises_traced_runs(monkeypatch, capsys):
+    names = [m["name"] for m in abbench.load_spec()["per_layer"]]
+    runs = []
+
+    def fake_run(root, command, workload, seed, seconds, trace=0):
+        runs.append((root, trace))
+        return {"correct": True, "failed": 0,
+                "metrics": {n: {"value": 1.0, "unit": "-"} for n in names}}
+
+    monkeypatch.setattr(abbench, "run_once", fake_run)
+    args = ["--against", str(ROOT), "--workload", "paper", "--seed", "1", "--pairs", "2"]
+    assert abbench.main(args + ["--trace", "1"]) == 0
+    assert [trace for _, trace in runs] == [1, 1, 1, 1]
+    table = capsys.readouterr().out.splitlines()[-len(names):]
+    assert [line.split()[0] for line in table] == names

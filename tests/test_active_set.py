@@ -81,6 +81,7 @@ def test_flat_view_splits_W_as_the_complement_does(mask, data):
     W = data.draw(arrays(float, mask.shape, elements=VALUES))
     off = np.delete(W.T.ravel(), V.flat)
     assert bits(off) == bits(W[V.complement()])
+    assert not V.off.flags.writeable and bits(W.T.ravel()[V.off]) == bits(off)
     assert bits(V.unstack(np.concatenate([W[V.rows, V.cols], off]))) == bits(W)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 import stepopt.cli as cli
 from stepopt.cli import BENCH_HEADER, TRACE_HEADER, main
+from stepopt.geometry import step_norm
 from stepopt.problems import make_norm_opt, save_samples
 from stepopt.solver import SolverAbort, SolverConfig, gamma_for, solve
 
@@ -26,6 +27,11 @@ def test_solve_summary_line(capsys):
     for key in ("objective=", "violations=", "residual=", "time_s=", "iterations="):
         assert key in out
     assert "violations=5" in out
+    # appended last: the count of columns strictly above zero, which the
+    # budget s bounds, at the point the same solve returns
+    problem = make_norm_opt(10, 1, 100, b=14.0, seed=17)
+    x = solve(problem, SolverConfig(s=5, gamma=gamma_for(0.05, 5))).point.x
+    assert out.split()[-1] == f"strict_violations={step_norm(problem.G(x))}"
 
 
 def test_solve_trace_schema_and_length(tmp_path, capsys):

@@ -24,6 +24,8 @@ from stepopt.problems import (
 )
 from stepopt.solver import SolverConfig, feasibility_line_search, gamma_for, solve
 
+import references
+
 
 def exact(problem):
     """The same instance without the model: the search calls G at every step."""
@@ -134,6 +136,36 @@ def test_model_matches_plain_loop_on_random_directions(pi, t_max):
             for full_step_first in (False, True):
                 got, want = both(problem, x, d, s, 0.5, pi, t_max, full_step_first)
                 assert got == want
+
+
+@pytest.mark.parametrize("per_chunk", [1, 6, 51])
+@pytest.mark.parametrize("K,M,N,b,alpha", [(10, 1, 100, 14.0, 0.05), (50, 20, 200, 40.0, 0.05)])
+def test_chunked_decision_matches_the_step_loop(K, M, N, b, alpha, per_chunk, monkeypatch):
+    # The search decides a chunk of steps at once; the reference walks the
+    # same model bounds one step at a time.  Both must call G on the same
+    # steps, with and without the model, wherever the chunks begin.
+    s = math.ceil(alpha * N)
+    config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=30)
+    spanning = 0
+    for seed in range(3):
+        problem = make_norm_opt(K, M, N, b=b, seed=seed)
+        searches = recorded_searches(problem, config, monkeypatch)
+        monkeypatch.setattr(solver_mod, "_MODEL_CHUNK_ENTRIES", per_chunk * M * N)
+        for x, d, s, gamma, pi, t_max, first in searches:
+            Z = problem.G(x)
+            for hook in (problem, exact(problem)):
+                counted, calls = counting(hook)
+                got = feasibility_line_search(counted, x, d, s, gamma, pi, t_max, Z=Z,
+                                              full_step_first=first)
+                ref, ref_calls = counting(hook)
+                want = references.line_search(ref, x, d, s, gamma, pi, t_max, Z, first,
+                                              per_chunk)
+                assert got == want and calls[0] == ref_calls[0]
+            # with the model, steps first..t took (t - first) // per_chunk + 1 chunks
+            spanning += want[0] - first >= per_chunk
+        monkeypatch.undo()
+    if per_chunk < 51:
+        assert spanning > 0
 
 
 def test_model_bounds_hold_at_every_step():

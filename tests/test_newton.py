@@ -15,8 +15,14 @@ import scipy.linalg
 
 import stepopt.solver as solver_mod
 from stepopt.problems import ProblemInstance, make_norm_opt
-from stepopt.solver import SolverConfig, gamma_for, newton_direction, solve
-from stepopt.stationarity import ActiveSet, PrimalDualPoint, stationarity_residual
+from stepopt.solver import (
+    SolverConfig,
+    gamma_for,
+    newton_direction,
+    select_candidate_columns,
+    solve,
+)
+from stepopt.stationarity import ActiveSet, PrimalDualPoint, active_set, stationarity_residual
 
 
 def reference(problem, point, V, mu, pivot_tol=1e-12, Z=None):
@@ -68,17 +74,18 @@ def assert_same(got, want):
 
 
 def recorded_steps(problem, config, monkeypatch, start=None):
-    """(problem, point, V, mu, pivot_tol, G(x), F) of every Newton step
+    """(problem, point, V, mu, pivot_tol, G(x), F, Gv) of every Newton step
     that ``solve`` takes on ``problem``."""
     calls = []
     plain = solver_mod.newton_direction
 
-    def recorder(problem, point, V, mu, pivot_tol=1e-12, Z=None, F=None):
-        # solve passes the residual, not G(x), and updates W in place after
-        # the step, so keep copies
+    def recorder(problem, point, V, mu, pivot_tol=1e-12, Z=None, F=None, Gv=None):
+        # solve passes the residual and the gradient columns, not G(x), and
+        # updates W in place after the step, so keep copies
         calls.append((problem, PrimalDualPoint(point.x.copy(), point.W.copy()),
-                      V, mu, pivot_tol, problem.G(point.x), F.copy()))
-        return plain(problem, point, V, mu, pivot_tol, Z=Z, F=F)
+                      V, mu, pivot_tol, problem.G(point.x), F.copy(),
+                      None if Gv is None else Gv.copy()))
+        return plain(problem, point, V, mu, pivot_tol, Z=Z, F=F, Gv=Gv)
 
     monkeypatch.setattr(solver_mod, "newton_direction", recorder)
     solve(problem, config, start)
@@ -128,11 +135,30 @@ def test_the_residual_solve_passes_is_current_and_gives_the_same_step(K, M, N, b
             steps = [rec.step for rec in solve(problem, config, start).trace]
             after_zero_step += steps[:-1].count(0.0)
             for args in recorded_steps(problem, config, monkeypatch, start):
-                problem, point, V, mu, pivot_tol, Z, F = args
+                problem, point, V, mu, pivot_tol, Z, F, _ = args
                 assert F.tobytes() == stationarity_residual(problem, point, V, Z=Z).tobytes()
                 assert_same(strict(problem, point, V, mu, pivot_tol, Z=Z, F=F),
                             strict(problem, point, V, mu, pivot_tol, Z=Z))
     assert after_zero_step >= 4
+
+
+@pytest.mark.parametrize("K,M,N,b,alpha", SHAPES)
+def test_solve_steps_from_the_unfused_layers(K, M, N, b, alpha, monkeypatch):
+    # solve forms G(x) + tau*W once per iterate for the clamp columns and
+    # V, and the gradient columns of V once for the residual and the step;
+    # each must equal what the layer functions give from G(x) alone
+    s = math.ceil(alpha * N)
+    for seed in range(4):
+        problem = make_norm_opt(K, M, N, b=b, seed=seed)
+        config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=100)
+        for problem, point, V, _, _, Z, F, Gv in recorded_steps(problem, config, monkeypatch):
+            cols = select_candidate_columns(Z + config.tau * point.W, s)
+            assert V == active_set(problem, point, config.tau, cols, Z=Z)
+            assert F.tobytes() == stationarity_residual(problem, point, V, Z=Z).tobytes()
+            if len(V):
+                assert Gv.tobytes() == problem.grad_G_cols(point.x, V.rows, V.cols).tobytes()
+            else:
+                assert Gv is None
 
 
 def constant_problem(theta, Gv, g, Z):

@@ -333,6 +333,16 @@ def test_solve_aborts_on_nonfinite_constraints():
         solve(bad, SolverConfig(s=1))
 
 
+def test_solve_aborts_when_the_multiplier_shift_overflows():
+    # G(x) and W are finite, but G(x) + tau*W is not; the suite turns a
+    # RuntimeWarning into an error, so this also checks that none is emitted
+    problem = make_norm_opt(10, 1, 5, b=1.0, seed=0)
+    start = PrimalDualPoint(np.full(10, 3e153), np.full((1, 5), 1.7e308))
+    assert np.isfinite(problem.G(start.x)).all()
+    with pytest.raises(SolverAbort, match="overflow"):
+        solve(problem, SolverConfig(s=1), start)
+
+
 def test_solve_norm_design_instance():
     problem = make_norm_opt(10, 1, 100, b=14.0, seed=17)
     cfg = SolverConfig(s=5, gamma=gamma_for(0.05, 5))

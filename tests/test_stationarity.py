@@ -18,6 +18,7 @@ from stepopt.stationarity import (
     stationarity_residual,
 )
 
+import references
 from reshape_fixtures import reshape_constraints
 
 
@@ -324,6 +325,29 @@ class TestTauStationary:
             assert rep.satisfied == member
             hits += member
         assert hits > 0  # the trial mix must exercise both outcomes
+
+    def test_matches_the_layer_composition(self):
+        # exact zeros of G(x), -0.0 among them, and of W, exact norm ties
+        # and entries just inside ztol: the check must give the verdict,
+        # residual and active set of the reference built from the layers
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for trial in range(300):
+            M, N = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            Z = rng.choice([-1.0, -1e-10, -0.0, 0.0, 0.0, 1e-10, 0.5, 1.0], size=(M, N))
+            W = rng.choice([-0.5, 0.0, 0.5, 2.0], size=(M, N)) * (rng.random((M, N)) < 0.5)
+            c = -W.flatten(order="F") * rng.integers(0, 2)
+            p = linear_problem(M, N, c)
+            pt = PrimalDualPoint(Z.flatten(order="F"), W)
+            tau, s = float(rng.choice([0.25, 0.75, 1.5])), int(rng.integers(1, N + 1))
+            for ztol in (0.0, 1e-9):
+                rep = check_tau_stationary(p, pt, tau, s, tol=1e-9, ztol=ztol)
+                want = references.check_tau_stationary(p, pt, tau, s, 1e-9, ztol)
+                assert (rep.satisfied, rep.residual.hex(), rep.active, rep.reason) == (
+                    want[0], want[1].hex(), want[2], want[3])
+                outcomes.add((rep.satisfied, rep.reason))
+        # satisfied, failed on the residual alone, failed on the index sets
+        assert len(outcomes) == 3
 
     def test_gradient_mismatch_fails(self):
         p, pt, w_val = self.build_boundary_case()
