@@ -13,6 +13,8 @@ the solver's line search can count violations without evaluating G.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,6 +38,13 @@ _TINY = np.finfo(float).tiny
 # coefficients pass _SAFE_VAL: below it no intermediate of G(x + a*d),
 # a <= 1, can overflow, which the rounding bound assumes.
 _SAFE_VAL = 1e300
+# In binary round-to-nearest arithmetic sqrt(x*x) == |x| while x*x is a
+# normal double (Boldo, 2015): for |x| in [_EXACT_LO, _EXACT_HI), which
+# keeps a margin below overflow.
+_EXACT_LO = 2.0 ** -511
+_EXACT_HI = 2.0 ** 511
+# the empty patch (positions, magnitudes), shared by the instances that need none
+_NO_PATCH = (np.empty(0, dtype=np.intp), np.empty(0))
 # norm_opt_draw fills a buffer of about this many normals at a time
 _DRAW_CHUNK_ENTRIES = 1 << 17
 
@@ -100,29 +109,61 @@ class NormOptInstance(ProblemInstance):
     Minimizes lambda2*||x||^2 + sum_k(lambda1*max(-x_k, 0) - x_k) subject to
     at most s of the N sampled constraints sum_k xi_sq[n, m, k]*x_k^2 <= b
     being violated.  ``xi_sq`` holds the squared sample draws with shape
-    (N, M, K); ``xi`` keeps the raw draws so files round-trip exactly.
-    ``seed`` is None for instances loaded from a file.
+    (N, M, K), the only copy of the samples that the evaluators read.  The
+    raw draws are not kept: ``xi_signs`` holds their sign bits, packed by
+    ``np.packbits`` in C order (N*M*K/8 bytes), and ``xi_patch_at`` and
+    ``xi_patch_mag`` the flat positions and magnitudes of the few draws
+    whose square does not give back their magnitude (none for Gaussian
+    draws).  The ``xi`` property rebuilds the raw draws from these, bit for
+    bit, on every access, so files still round-trip exactly.  ``seed`` is
+    None for instances loaded from a file.
     """
 
-    xi: np.ndarray
     xi_sq: np.ndarray
+    xi_signs: np.ndarray
+    xi_patch_at: np.ndarray
+    xi_patch_mag: np.ndarray
     b: float
     lambda1: float
     lambda2: float
     seed: Optional[int]
 
+    @property
+    def xi(self) -> np.ndarray:
+        """The raw (N, M, K) draws, rebuilt bit for bit in a new array."""
+        xi = np.sqrt(self.xi_sq)
+        flat = xi.reshape(-1)
+        flat[self.xi_patch_at] = self.xi_patch_mag
+        neg = np.unpackbits(self.xi_signs, count=flat.size).view(bool)
+        np.negative(flat, out=flat, where=neg)
+        return xi
+
 
 def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
                     seed: Optional[int]) -> NormOptInstance:
+    # xi is squared in place, so that building an instance never holds two
+    # (N, M, K) arrays: the callers, make_norm_opt and load_samples, pass an
+    # array of their own that nothing else reads
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 3:
         raise ValueError("sample array must have shape (N, M, K)")
     N, M, K = xi.shape
-    if not np.all(np.isfinite(xi)):
+    flat = xi.reshape(-1)
+    signs = np.packbits(np.signbit(flat))
+    mag = np.abs(flat, out=flat)
+    lo, hi = mag.min(), mag.max()
+    if not math.isfinite(hi):
         raise ValueError("sample array has non-finite entries")
     if not b > 0:
         raise ValueError(f"threshold b must be positive, got {b}")
-    xi_sq = xi ** 2
+    # only draws outside [_EXACT_LO, _EXACT_HI) need a patch; one min and
+    # one max rule them out for the usual samples
+    if lo < _EXACT_LO or hi >= _EXACT_HI:
+        patch_at = np.flatnonzero(((mag < _EXACT_LO) & (mag > 0.0)) | (mag >= _EXACT_HI))
+        patch_mag = mag[patch_at]
+    else:
+        patch_at, patch_mag = _NO_PATCH
+    xi_sq = np.square(mag, out=mag).reshape(N, M, K)
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -132,8 +173,15 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         x = np.asarray(x, dtype=float)
         return 2.0 * lambda2 * x - 1.0 - lambda1 * (x < 0.0)
 
+    # one read-only matrix, made on the first call
+    @functools.cache
+    def hess():
+        out = 2.0 * lambda2 * np.eye(K)
+        out.flags.writeable = False
+        return out
+
     def hess_f(x):
-        return 2.0 * lambda2 * np.eye(K)
+        return hess()
 
     def G(x):
         x = np.asarray(x, dtype=float)
@@ -220,7 +268,8 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         f=f, grad_f=grad_f, hess_f=hess_f,
         G=G, grad_G_cols=grad_G_cols, weighted_hess_G=weighted_hess_G,
         f_batch=f_batch, G_batch=G_batch, violations_along=violations_along,
-        xi=xi, xi_sq=xi_sq, b=float(b),
+        xi_sq=xi_sq, xi_signs=signs, xi_patch_at=patch_at, xi_patch_mag=patch_mag,
+        b=float(b),
         lambda1=float(lambda1), lambda2=float(lambda2), seed=seed,
     )
 
@@ -230,8 +279,9 @@ def make_norm_opt(K: int, M: int, N: int, *, b: float = 100.0,
                   seed: int = 0) -> NormOptInstance:
     """Draw a seeded norm-design instance with i.i.d. standard normal samples.
 
-    The raw draws are squared internally; identical (dims, seed) reproduce
-    the instance bit for bit.
+    The draws are squared in place and kept as ``xi_sq`` and their sign
+    bits; identical (dims, seed) reproduce the instance, and its ``xi`` the
+    draws, bit for bit.
     """
     if K < 1 or M < 1 or N < 1:
         raise ValueError(f"dimensions must be positive, got K={K} M={M} N={N}")

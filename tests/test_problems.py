@@ -1,12 +1,17 @@
 """Instance constructors: derivative consistency, determinism, file round-trips."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from stepopt.geometry import step_norm
 from stepopt.problems import (
     ProblemInstance,
+    _build_norm_opt,
     load_samples,
     make_counterexample,
     make_norm_opt,
@@ -133,6 +138,93 @@ class TestNormOpt:
             make_norm_opt(0, 1, 1)
         with pytest.raises(ValueError):
             make_norm_opt(1, 1, 1, b=-5.0)
+
+    def test_hess_f_is_one_read_only_matrix(self):
+        p = make_norm_opt(4, 2, 3, lambda2=0.3, seed=1)
+        H = p.hess_f(np.ones(4))
+        np.testing.assert_array_equal(H, 2.0 * 0.3 * np.eye(4))
+        assert not H.flags.writeable
+        assert p.hess_f(np.zeros(4)) is H
+
+
+# magnitudes on both sides of the range where sqrt(x*x) == |x|: zeros,
+# subnormals, around 2^-511 and 2^511, and squares that overflow
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-511,
+                  -np.nextafter(2.0**-511, 0.0), np.nextafter(2.0**511, 0.0), -2.0**511,
+                  1e200, -np.finfo(float).max, 1e-160, 1.5, -3.0])
+
+
+def signed(lo, hi):
+    return st.floats(lo, hi) | st.floats(-hi, -lo)
+
+
+DRAW_VALUES = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.floats(-2.0**-1022, 2.0**-1022)
+               | signed(2.0**-515, 2.0**-507) | signed(2.0**507, 2.0**515)
+               | signed(1e199, 1e201) | st.sampled_from(EDGES.tolist()))
+
+
+def built(draws):
+    """An instance from a copy of ``draws``; squares may overflow to inf."""
+    with np.errstate(over="ignore"):
+        return _build_norm_opt(draws.copy(), 1.0, 0.5, 0.5, None)
+
+
+class TestRawDraws:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(arrays(np.float64, array_shapes(min_dims=3, max_dims=3, max_side=5),
+                  elements=DRAW_VALUES, fill=st.nothing()))
+    @example(EDGES.reshape(2, 1, 7))
+    def test_xi_round_trips_bit_for_bit(self, draws):
+        p = built(draws)
+        np.testing.assert_array_equal(p.xi.view(np.int64), draws.view(np.int64))
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(p.xi_sq.view(np.int64), (draws ** 2).view(np.int64))
+
+    def test_gaussian_draws_need_no_patch(self):
+        p = make_norm_opt(6, 3, 40, seed=2)
+        assert p.xi_patch_at.size == 0 and p.xi_patch_mag.size == 0
+        assert p.xi_signs.dtype == np.uint8 and p.xi_signs.size == (6 * 3 * 40 + 7) // 8
+        raw = np.random.default_rng(2).standard_normal((40, 3, 6))
+        np.testing.assert_array_equal(p.xi.view(np.int64), raw.view(np.int64))
+
+    def test_non_finite_draws_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            draws = np.ones((2, 1, 3))
+            draws[1, 0, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                _build_norm_opt(draws, 1.0, 0.5, 0.5, None)
+
+    def test_replace_keeps_xi(self):
+        p = built(EDGES.reshape(2, 1, 7))
+        q = dataclasses.replace(p, G=p.G, b=2.0)
+        assert q.b == 2.0
+        np.testing.assert_array_equal(q.xi.view(np.int64), p.xi.view(np.int64))
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        for p in (make_norm_opt(3, 2, 5, seed=8), built(EDGES.reshape(2, 1, 7))):
+            first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+            save_samples(p, first)
+            with np.errstate(over="ignore"):
+                q = load_samples(first)
+            save_samples(q, second)
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_memory_is_the_squares_and_sign_bits(self):
+        # the instance keeps one float per draw and one bit, and building it
+        # never holds a second (N, M, K) array
+        K, M, N = 50, 20, 200
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p = make_norm_opt(K, M, N, seed=3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        squares = p.xi_sq.nbytes
+        assert p.xi_signs.nbytes == N * M * K // 8
+        assert held - base <= squares + p.xi_signs.nbytes + 64 * 1024
+        assert peak - base < 1.3 * squares
 
 
 class TestCounterexample:

@@ -13,8 +13,10 @@ interpreter with one BLAS thread, runs every item, and reduces the output to exa
 arrays by dtype, shape and bytes.  A solve is compared on ``x`` and ``W``,
 status, iterations, trace, ``final_residual``, final report, active set,
 the workload's check and its quality verdicts; an analysis task on the
-workload's summary and check.  --limit runs only the first N items of
-each pool.
+workload's summary and check.  Every item also adds the sha256 digests of
+its instance's raw draws ``xi`` and squared draws ``xi_sq``, so a change to
+how an instance stores its samples is checked too.  --limit runs only the
+first N items of each pool.
 
 Prints one line per workload and seed and the first differences found.
 Exit status: 0 when both sides agree on every field, 1 on any difference,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import os
 import pickle
 import subprocess
@@ -57,6 +60,12 @@ def exact(v):
     if type(v).__name__ == "ActiveSet":
         return ("ActiveSet", v.shape, exact(v.rows), exact(v.cols))
     return v
+
+
+def instance_fields(problem) -> dict:
+    """Dtype, shape and sha256 digest of the raw and the squared draws of ``problem``."""
+    return {name: (a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+            for name, a in (("xi", problem.xi), ("xi_sq", problem.xi_sq))}
 
 
 def check_message(workloads, wl, item, out):
@@ -97,7 +106,8 @@ def dump(root: Path, workload: str, seed: int, limit) -> list[dict]:
     api = workloads.plain_api()
     with tempfile.TemporaryDirectory(prefix="stepopt-parity-") as tmp:
         items = wl.build(seed, stepopt.make_norm_opt, str(Path(tmp) / "export.lp"))
-        return [fields(workloads, wl, item, wl.run(item, api)) for item in items[:limit]]
+        return [{**fields(workloads, wl, item, wl.run(item, api)), **instance_fields(item.problem)}
+                for item in items[:limit]]
 
 
 def run_side(root: Path, workload: str, seed: int, limit):
