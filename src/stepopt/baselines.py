@@ -25,6 +25,8 @@ __all__ = [
 
 GRID_CAP = 10_000_000
 CHUNK = 65_536
+# the big-M constant of build_bip_model and export_bip
+_DEFAULT_BIG_M = 10_000.0
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ class BipModel:
 
 
 def build_bip_model(instance: NormOptInstance, s: int,
-                    big_M: float = 10_000.0) -> BipModel:
+                    big_M: float = _DEFAULT_BIG_M) -> BipModel:
     """Assemble the big-M model for a norm-design instance at budget s."""
     if not isinstance(instance, NormOptInstance):
         raise TypeError("big-M export is defined for norm-design instances only")
@@ -192,7 +194,7 @@ def build_bip_model(instance: NormOptInstance, s: int,
 
 
 def export_bip(instance: NormOptInstance, s: int, path,
-               big_M: float = 10_000.0) -> str:
+               big_M: float = _DEFAULT_BIG_M) -> str:
     """Write the LP-format big-M model to path and return the path."""
     model = build_bip_model(instance, s, big_M)
     with open(path, "w") as fh:

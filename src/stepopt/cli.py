@@ -1,13 +1,16 @@
 """Command-line interface: solve, check, bounds, bench, and export-bip.
 
 Every run is driven by flags (optionally seeded from a flat key=value config
-file; explicit flags win).  All randomness flows from --seed, so repeated
-invocations with equal flags write byte-identical trace CSVs; bench timing
-columns are the one wall-clock exception.
+file; explicit flags win).  A flag that stands for a library argument is
+passed on only when given, so the library's default applies otherwise.
+All randomness flows from --seed, so repeated invocations with equal flags
+write byte-identical trace CSVs; bench timing columns are the one
+wall-clock exception.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
@@ -95,6 +98,15 @@ def _inline_config(argv: list[str]) -> list[str]:
 
 # ------------------------------------------------------------ shared pieces
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given, by destination."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def add_tau_flag(p, default=argparse.SUPPRESS):
+    p.add_argument("--tau", type=float, default=default, help="step size of the check")
+
+
 def add_instance_flags(p: argparse.ArgumentParser, with_preset: bool = True):
     g = p.add_argument_group("instance")
     g.add_argument("--K", type=int, default=10, help="decision dimension")
@@ -102,10 +114,12 @@ def add_instance_flags(p: argparse.ArgumentParser, with_preset: bool = True):
     g.add_argument("--N", type=int, default=100, help="sample count")
     g.add_argument("--alpha", type=float, default=0.05,
                    help="violation level; default budget is ceil(alpha*N)")
-    g.add_argument("--b", type=float, default=100.0, help="constraint threshold")
-    g.add_argument("--lambda1", type=float, default=0.5,
+    g.add_argument("--s", type=int, default=argparse.SUPPRESS,
+                   help="violation budget (default ceil(alpha*N))")
+    g.add_argument("--b", type=float, default=argparse.SUPPRESS, help="constraint threshold")
+    g.add_argument("--lambda1", type=float, default=argparse.SUPPRESS,
                    help="negative-part penalty weight")
-    g.add_argument("--lambda2", type=float, default=0.5,
+    g.add_argument("--lambda2", type=float, default=argparse.SUPPRESS,
                    help="quadratic regularization weight")
     g.add_argument("--seed", type=int, default=0, help="sample draw seed")
     g.add_argument("--samples", metavar="FILE",
@@ -117,45 +131,45 @@ def add_instance_flags(p: argparse.ArgumentParser, with_preset: bool = True):
 
 
 def add_solver_flags(p: argparse.ArgumentParser):
-    g = p.add_argument_group("solver")
-    g.add_argument("--s", type=int, default=None,
-                   help="violation budget (default ceil(alpha*N))")
-    g.add_argument("--tau", type=float, default=0.75, help="step size of the check")
-    g.add_argument("--gamma", type=float, default=None,
+    p.add_argument("--config", metavar="FILE",
+                   help="flat key=value defaults; explicit flags override")
+    g = p.add_argument_group("solver", argument_default=argparse.SUPPRESS)
+    add_tau_flag(g)
+    g.add_argument("--gamma", type=float,
                    help="line-search slack (default a/s with a set by alpha)")
-    g.add_argument("--max-it", type=int, default=2000, help="iteration cap")
-    g.add_argument("--tol-scale", type=float, default=1e-9,
+    g.add_argument("--max-it", type=int, help="iteration cap")
+    g.add_argument("--tol-scale", type=float,
                    help="stopping tolerance per unit of K*M*N")
-    g.add_argument("--rho", type=float, default=1e-2, help="smoothing-residual ratio")
-    g.add_argument("--mu-bar", type=float, default=1e-2, help="initial smoothing cap")
-    g.add_argument("--nu", type=float, default=0.999, help="smoothing decay")
-    g.add_argument("--pi", type=float, default=0.85, help="backtracking ratio")
-    g.add_argument("--t-max", type=int, default=50, help="largest backtrack exponent")
+    g.add_argument("--rho", type=float, help="smoothing-residual ratio")
+    g.add_argument("--mu-bar", type=float, help="initial smoothing cap")
+    g.add_argument("--nu", type=float, help="smoothing decay")
+    g.add_argument("--pi", type=float, help="backtracking ratio")
+    g.add_argument("--t-max", type=int, help="largest backtrack exponent")
 
 
 def build_instance(args) -> ProblemInstance:
     if getattr(args, "preset", None):
         return make_counterexample()
+    weights = _given(args, ("b", "lambda1", "lambda2"))
     if args.samples:
-        return load_samples(args.samples, b=args.b,
-                            lambda1=args.lambda1, lambda2=args.lambda2)
-    return make_norm_opt(args.K, args.M, args.N, b=args.b,
-                         lambda1=args.lambda1, lambda2=args.lambda2,
-                         seed=args.seed)
+        return load_samples(args.samples, **weights)
+    return make_norm_opt(args.K, args.M, args.N, seed=args.seed, **weights)
 
 
 def resolve_budget(args, problem: ProblemInstance) -> int:
-    if args.s is not None:
+    if hasattr(args, "s"):
         return args.s
     return math.ceil(args.alpha * problem.N)
 
 
 def solver_config(args, s: int) -> SolverConfig:
-    gamma = args.gamma if args.gamma is not None else gamma_for(args.alpha, s)
-    return SolverConfig(s=s, tau=args.tau, max_it=args.max_it,
-                        tol_scale=args.tol_scale, rho=args.rho,
-                        mu_bar=args.mu_bar, nu=args.nu, pi=args.pi,
-                        gamma=gamma, t_max=args.t_max)
+    """Budget s, the gamma of alpha unless --gamma is given, and every other
+    solver flag that was given."""
+    knobs = _given(args, [f.name for f in dataclasses.fields(SolverConfig)])
+    knobs["s"] = s
+    if "gamma" not in knobs:
+        knobs["gamma"] = gamma_for(args.alpha, s)
+    return SolverConfig(**knobs)
 
 
 def write_trace(path, trace) -> None:
@@ -351,7 +365,7 @@ def cmd_bench(args) -> int:
 def cmd_export_bip(args) -> int:
     problem = build_instance(args)
     s = resolve_budget(args, problem)
-    export_bip(problem, s, args.out, big_M=args.big_M)
+    export_bip(problem, s, args.out, **_given(args, ("big_M",)))
     print(f"wrote {args.out}")
     return 0
 
@@ -370,8 +384,6 @@ def build_parser() -> CliParser:
     add_instance_flags(p)
     add_solver_flags(p)
     p.add_argument("--trace", metavar="FILE", help="write per-iteration CSV here")
-    p.add_argument("--config", metavar="FILE",
-                   help="flat key=value defaults; explicit flags override")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="verify optimality conditions at a point",
@@ -380,9 +392,7 @@ def build_parser() -> CliParser:
     add_instance_flags(p)
     p.add_argument("--point", required=True, metavar="FILE",
                    help="x on the first line; optional multiplier rows after")
-    p.add_argument("--s", type=int, default=None,
-                   help="violation budget (default ceil(alpha*N))")
-    p.add_argument("--tau", type=float, default=0.75, help="step size of the check")
+    add_tau_flag(p, default=SolverConfig.tau)
     p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance")
     p.set_defaults(func=cmd_check)
 
@@ -412,17 +422,13 @@ def build_parser() -> CliParser:
     p.add_argument("--trials", type=int, default=20,
                    help="seeded trials per sweep value")
     p.add_argument("--out", metavar="FILE", help="write the CSV here (default stdout)")
-    p.add_argument("--config", metavar="FILE",
-                   help="flat key=value defaults; explicit flags override")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("export-bip", help="write the big-M mixed-binary model",
                        description="Export a norm-design instance as an "
                                    "LP-format file for external MIP solvers.")
     add_instance_flags(p, with_preset=False)
-    p.add_argument("--s", type=int, default=None,
-                   help="violation budget (default ceil(alpha*N))")
-    p.add_argument("--big-M", dest="big_M", type=float, default=10_000.0,
+    p.add_argument("--big-M", dest="big_M", type=float, default=argparse.SUPPRESS,
                    help="enforcement constant")
     p.add_argument("--out", required=True, metavar="FILE", help="output path")
     p.set_defaults(func=cmd_export_bip)

@@ -45,6 +45,10 @@ _EXACT_LO = 2.0 ** -511
 _EXACT_HI = 2.0 ** 511
 # the empty patch (positions, magnitudes), shared by the instances that need none
 _NO_PATCH = (np.empty(0, dtype=np.intp), np.empty(0))
+# the norm-design defaults of make_norm_opt, load_samples and norm_opt_draw
+_DEFAULT_B = 100.0
+_DEFAULT_LAMBDA1 = 0.5
+_DEFAULT_LAMBDA2 = 0.5
 # norm_opt_draw fills a buffer of about this many normals at a time
 _DRAW_CHUNK_ENTRIES = 1 << 17
 
@@ -151,9 +155,12 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
     flat = xi.reshape(-1)
     signs = np.packbits(np.signbit(flat))
     mag = np.abs(flat, out=flat)
-    lo, hi = mag.min(), mag.max()
+    lo, hi = mag.min(), float(mag.max())
     if not math.isfinite(hi):
         raise ValueError("sample array has non-finite entries")
+    # the largest square is the one that would overflow, and G would read inf
+    if math.isinf(hi * hi):
+        raise ValueError(f"sample draw of magnitude {hi!r} overflows when squared")
     if not b > 0:
         raise ValueError(f"threshold b must be positive, got {b}")
     # only draws outside [_EXACT_LO, _EXACT_HI) need a patch; one min and
@@ -274,8 +281,8 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
     )
 
 
-def make_norm_opt(K: int, M: int, N: int, *, b: float = 100.0,
-                  lambda1: float = 0.5, lambda2: float = 0.5,
+def make_norm_opt(K: int, M: int, N: int, *, b: float = _DEFAULT_B,
+                  lambda1: float = _DEFAULT_LAMBDA1, lambda2: float = _DEFAULT_LAMBDA2,
                   seed: int = 0) -> NormOptInstance:
     """Draw a seeded norm-design instance with i.i.d. standard normal samples.
 
@@ -290,7 +297,7 @@ def make_norm_opt(K: int, M: int, N: int, *, b: float = 100.0,
     return _build_norm_opt(xi, b, lambda1, lambda2, seed)
 
 
-def norm_opt_draw(K: int, M: int, b: float = 100.0):
+def norm_opt_draw(K: int, M: int, b: float = _DEFAULT_B):
     """Sampler for fresh norm-design constraint values at a fixed point.
 
     Returns a callable draw(x, count, rng) -> (M, count) matrix whose
@@ -393,8 +400,8 @@ def save_samples(instance_or_xi, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_samples(path, *, b: float = 100.0, lambda1: float = 0.5,
-                 lambda2: float = 0.5) -> NormOptInstance:
+def load_samples(path, *, b: float = _DEFAULT_B, lambda1: float = _DEFAULT_LAMBDA1,
+                 lambda2: float = _DEFAULT_LAMBDA2) -> NormOptInstance:
     """Build a norm-design instance from a sample CSV written by save_samples.
 
     The file holds raw (unsquared) draws: blocks of M lines with K

@@ -49,6 +49,10 @@ __all__ = [
 # scipy.linalg.lu_factor/lu_solve call, without their per-call wrapping.
 _getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
+# A Newton system whose LU factorization has a pivot below this fraction of
+# the system's largest entry is not trusted; the fallback direction is used.
+_PIVOT_TOL = 1e-12
+
 # The line search asks a violation model for about this many entries of G at
 # a time: every trial step at once on small problems, a few at a time on
 # large ones, so the model's temporaries stay a few times this size.
@@ -81,8 +85,7 @@ class SolverConfig:
     ``gamma`` is the relative slack of the line-search violation budget;
     None selects 3/s.  ``pi`` is the backtracking ratio, ``t_max`` the
     largest backtracking exponent, ``rho``/``mu_bar``/``nu`` control the
-    smoothing weight, ``pivot_tol`` the relative pivot threshold deciding
-    whether a Newton system is trustworthy.
+    smoothing weight.
     """
 
     s: int
@@ -95,7 +98,6 @@ class SolverConfig:
     pi: float = 0.85
     gamma: Optional[float] = None
     t_max: int = 50
-    pivot_tol: float = 1e-12
 
     def __post_init__(self):
         if self.s < 1:
@@ -118,8 +120,6 @@ class SolverConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.t_max < 0:
             raise ValueError(f"t_max must be >= 0, got {self.t_max}")
-        if not self.pivot_tol > 0:
-            raise ValueError(f"pivot_tol must be positive, got {self.pivot_tol}")
 
 
 @dataclass(frozen=True)
@@ -168,29 +168,22 @@ def select_candidate_columns(lam: np.ndarray, s: int) -> np.ndarray:
 
 
 def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: ActiveSet,
-                     mu: float, pivot_tol: float = 1e-12,
-                     Z: Optional[np.ndarray] = None,
-                     F: Optional[np.ndarray] = None,
-                     Gv: Optional[np.ndarray] = None) -> tuple[Optional[np.ndarray], bool]:
+                     mu: float, F: np.ndarray,
+                     Gv: Optional[np.ndarray]) -> tuple[Optional[np.ndarray], bool]:
     """Newton step on the smoothed system, reduced to K + |V| unknowns.
 
     The complement block of the Jacobian is the identity, so its component
     of the direction is just the negated multiplier values; the remaining
     square system couples x with the multipliers on V.  Both the system's
     right-hand side and the complement block are read from ``F``, the
-    stacked residual at (point, V); it is computed when not given, from
-    ``Z`` = G(x) if that is given.  ``Gv`` is the gradient columns of V at
-    x, computed when not given.  Returns (direction, True) in block order
+    stacked residual at (point, V).  ``Gv`` is the gradient columns of V
+    at x, None when V is empty.  Returns (direction, True) in block order
     [x; W on V; W off V], or (None, False) when the LU factorization shows
-    a relative pivot below ``pivot_tol``.
+    a pivot below ``_PIVOT_TOL`` times the largest entry of the system.
     """
     x, W = point.x, point.W
     K = problem.K
     L = len(V)
-    if L and Gv is None:
-        Gv = problem.grad_G_cols(x, V.rows, V.cols)
-    if F is None:
-        F = stationarity_residual(problem, point, V, Z=Z, Gv=Gv)
     n = K + L
     # [[theta, Gv], [Gv.T, -mu*I]], written in place; Fortran order lets
     # getrf factor it without copying
@@ -214,7 +207,7 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
     lu, piv, info = _getrf(A, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
-    if np.abs(lu.diagonal()).min() < pivot_tol * scale:
+    if np.abs(lu.diagonal()).min() < _PIVOT_TOL * scale:
         return None, False
     head, info = _getrs(lu, piv, rhs, overwrite_b=True)
     if info < 0:
@@ -224,22 +217,13 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
     return np.concatenate([head, -F[n:]]), True
 
 
-def fallback_direction(problem: ProblemInstance, point: PrimalDualPoint, V: ActiveSet,
-                       Z: Optional[np.ndarray] = None,
-                       F: Optional[np.ndarray] = None) -> np.ndarray:
-    """Steepest residual-descent surrogate: the negated stacked residual.
-
-    ``F`` is that residual when the caller has it; it is computed
-    otherwise, from ``Z`` = G(x) if that is given.
-    """
-    if F is None:
-        F = stationarity_residual(problem, point, V, Z=Z)
+def fallback_direction(F: np.ndarray) -> np.ndarray:
+    """Steepest residual-descent surrogate: the negated stacked residual ``F``."""
     return -F
 
 
 def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.ndarray,
-                            s: int, gamma: float, pi: float, t_max: int = 50,
-                            Z: Optional[np.ndarray] = None,
+                            s: int, gamma: float, pi: float, t_max: int, Z: np.ndarray,
                             full_step_first: bool = False) -> tuple[int, float, bool]:
     """Smallest backtracking exponent keeping violations within (gamma+1)*s.
 
@@ -250,7 +234,7 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
 
     A problem with a ``violations_along`` hook bounds the violation count
     of each trial step, the full step included, from a model of G along
-    the ray (``Z`` is G(x), computed when not given), and G is called only
+    the ray (``Z`` is G(x), read only by the model), and G is called only
     for a step whose bounds straddle the cap.  ``full_step_first`` tries
     the full step with G before building the model, which pays off when
     the full step is likely to pass.  Without the hook every trial step
@@ -276,7 +260,7 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         first = 1
     counts = None
     if problem.violations_along is not None and first <= t_max:
-        counts = problem.violations_along(x, d_x, problem.G(x) if Z is None else Z)
+        counts = problem.violations_along(x, d_x, Z)
     if counts is None:
         counts, chunk = _undecided, t_max + 1
     else:
@@ -359,7 +343,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
                 raise SolverAbort("constraint evaluation produced non-finite values")
             raise SolverAbort("G(x) + tau*W overflowed")
         point = PrimalDualPoint(x, W)
-        V = active_set(problem, point, tau, select_candidate_columns(lam, s), lam=lam)
+        V = active_set(lam, select_candidate_columns(lam, s))
         Gv = problem.grad_G_cols(x, V.rows, V.cols) if len(V) else None
         F = stationarity_residual(problem, point, V, Z=Z, Gv=Gv)
         return Z, V, Gv, F, float(np.linalg.norm(F))
@@ -387,15 +371,15 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         point = PrimalDualPoint(x, W)
         if F is None:
             F = stationarity_residual(problem, point, V, Z=Z, Gv=Gv)
-        d, solvable = newton_direction(problem, point, V, mu, config.pivot_tol, F=F, Gv=Gv)
+        d, solvable = newton_direction(problem, point, V, mu, F, Gv)
         if solvable:
             kind = "newton"
         else:
-            d = fallback_direction(problem, point, V, F=F)
+            d = fallback_direction(F)
             kind = "fallback"
 
         t, alpha, stalled = feasibility_line_search(
-            problem, x, d[:K], s, gamma, config.pi, config.t_max, Z=Z,
+            problem, x, d[:K], s, gamma, config.pi, config.t_max, Z,
             full_step_first=full_step_first)
         stall_streak = stall_streak + 1 if stalled else 0
         full_step_first = alpha == 1.0

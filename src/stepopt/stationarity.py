@@ -177,30 +177,17 @@ class StationarityReport:
     reason: Optional[str] = None
 
 
-def active_set(problem: ProblemInstance, point: PrimalDualPoint, tau: float, cols,
-               ztol: float = 0.0, Z: Optional[np.ndarray] = None,
-               lam: Optional[np.ndarray] = None) -> ActiveSet:
-    """Positions (m, n) with n in cols where G(x) + tau*W is >= -ztol.
+def active_set(lam: np.ndarray, cols, ztol: float = 0.0) -> ActiveSet:
+    """Positions (m, n) with n in cols where ``lam`` = G(x) + tau*W is >= -ztol.
 
-    ``lam`` is G(x) + tau*W and ``Z`` is G(x) when the caller has them;
-    they are computed otherwise, and ``lam`` from ``Z``.  Only the columns
-    in ``cols`` are read.
+    Only the columns in ``cols`` are read.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    W = point.W
     # ascending and unique, so that the set comes out column-major
-    picked = np.zeros(W.shape[1], dtype=bool)
+    picked = np.zeros(lam.shape[1], dtype=bool)
     picked[np.asarray(cols, dtype=int)] = True
     cols = np.flatnonzero(picked)
-    if lam is not None:
-        lam = lam[:, cols]
-    else:
-        if Z is None:
-            Z = problem.G(point.x)
-        lam = Z[:, cols] + tau * W[:, cols]
-    at, rows = np.nonzero((lam >= -ztol).T)
-    return ActiveSet._trusted(rows, cols[at], W.shape)
+    at, rows = np.nonzero((lam[:, cols] >= -ztol).T)
+    return ActiveSet._trusted(rows, cols[at], lam.shape)
 
 
 def stationarity_residual(problem: ProblemInstance, point: PrimalDualPoint,

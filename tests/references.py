@@ -160,7 +160,7 @@ def check_tau_stationary(problem, point, tau, s, tol, ztol):
     zero = column_partition(Z, ztol=ztol).zero
     clamp_ok = tuple(zero.tolist()) in candidate_sets(Z + tau * point.W, s, ztol)[0]
     V_star = ActiveSet.from_mask(zero_mask(Z, zero, ztol))
-    sets_match = active_set(problem, point, tau, zero, ztol=ztol, Z=Z) == V_star
+    sets_match = active_set(Z + tau * point.W, zero, ztol=ztol) == V_star
     res = float(np.linalg.norm(stationarity_residual(problem, point, V_star, Z=Z)))
     ok = clamp_ok and sets_match
     return ok and res <= tol, res, V_star, None if ok else "index conditions failed"

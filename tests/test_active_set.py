@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stepopt.stationarity import ActiveSet, PrimalDualPoint, active_set
+from stepopt.stationarity import ActiveSet, active_set
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -115,7 +115,7 @@ def test_active_set_reads_only_its_columns_and_matches_a_full_mask(M, N, data):
     full = np.zeros((M, N), dtype=bool)
     if cols:
         full[:, cols] = (Z + tau * W)[:, cols] >= -ztol
-    got = active_set(None, PrimalDualPoint(np.zeros(1), W), tau, cols, ztol=ztol, Z=Z)
+    got = active_set(Z + tau * W, cols, ztol=ztol)
     assert_same(got, ActiveSet(pairs_of(full), (M, N)))
 
 

@@ -1,9 +1,12 @@
 """CLI tests: exit codes, trace schema, determinism, subcommand output."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import stepopt.cli as cli
-from stepopt.cli import BENCH_HEADER, TRACE_HEADER, main
+from stepopt.baselines import export_bip
+from stepopt.cli import BENCH_HEADER, TRACE_HEADER, build_parser, main, write_trace
 from stepopt.geometry import step_norm
 from stepopt.problems import make_norm_opt, save_samples
 from stepopt.solver import SolverAbort, SolverConfig, gamma_for, solve
@@ -268,3 +271,50 @@ def test_export_bip_bad_directory_exits_1(capsys):
                                 "--out", "/nonexistent/dir/m.lp"])
     assert code == 1
     assert "error" in err
+
+
+# ----------------------------------------------------------------- defaults
+
+# the flags that stand for a library argument with a default of its own
+SOLVER = [f.name for f in dataclasses.fields(SolverConfig)]
+WEIGHTS = ["b", "lambda1", "lambda2"]
+LIBRARY_FLAGS = {
+    "solve": ([], SOLVER + WEIGHTS),
+    "bench": (["--sweep", "K", "--values", "2"], SOLVER + WEIGHTS),
+    "export-bip": (["--out", "m.lp"], ["s"] + WEIGHTS + ["big_M"]),
+}
+
+
+@pytest.mark.parametrize("command", LIBRARY_FLAGS)
+def test_library_flags_have_no_default_of_their_own(command):
+    required, names = LIBRARY_FLAGS[command]
+    parser = build_parser()
+    # a flag that is not given is not set, so the library's default applies
+    assert not set(names) & set(vars(parser.parse_args([command, *required])))
+    for name in names:
+        flag = "--big-M" if name == "big_M" else "--" + name.replace("_", "-")
+        assert getattr(parser.parse_args([command, *required, flag, "3"]), name) == 3
+
+
+def test_check_tau_defaults_to_the_solver_tau():
+    args = build_parser().parse_args(["check", "--point", "p.txt"])
+    assert args.tau == SolverConfig.tau and not hasattr(args, "s")
+
+
+@pytest.mark.parametrize("flags,weights", [([], {}), (["--b", "14.0", "--seed", "17"],
+                                                      {"b": 14.0, "seed": 17})])
+def test_default_solve_trace_is_the_library_default_solve(flags, weights, tmp_path, capsys):
+    # at the default b = 100 no column ever violates; at b = 14 the solve
+    # takes Newton steps that every solver default shapes
+    cli_trace, lib_trace = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert run(capsys, ["solve", *flags, "--trace", str(cli_trace)])[0] == 0
+    res = solve(make_norm_opt(10, 1, 100, **weights), SolverConfig(s=5, gamma=gamma_for(0.05, 5)))
+    write_trace(lib_trace, res.trace)
+    assert cli_trace.read_bytes() == lib_trace.read_bytes()
+
+
+def test_default_export_bip_is_the_library_default_export(tmp_path, capsys):
+    cli_lp, lib_lp = tmp_path / "cli.lp", tmp_path / "lib.lp"
+    assert run(capsys, ["export-bip", "--out", str(cli_lp)])[0] == 0
+    export_bip(make_norm_opt(10, 1, 100, seed=0), 5, lib_lp)
+    assert cli_lp.read_bytes() == lib_lp.read_bytes()

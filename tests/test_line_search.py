@@ -49,7 +49,7 @@ def both(problem, x, d, s, gamma, pi, t_max=50, full_step_first=False):
     Z = problem.G(x)
     got = feasibility_line_search(problem, x, d, s, gamma, pi, t_max, Z=Z,
                                   full_step_first=full_step_first)
-    want = feasibility_line_search(exact(problem), x, d, s, gamma, pi, t_max)
+    want = feasibility_line_search(exact(problem), x, d, s, gamma, pi, t_max, Z)
     return got, want
 
 
@@ -58,9 +58,9 @@ def recorded_searches(problem, config, monkeypatch):
     calls = []
     plain = solver_mod.feasibility_line_search
 
-    def recorder(problem, x, d_x, s, gamma, pi, t_max=50, Z=None, full_step_first=False):
+    def recorder(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first=False):
         calls.append((x.copy(), d_x.copy(), s, gamma, pi, t_max, full_step_first))
-        return plain(problem, x, d_x, s, gamma, pi, t_max, Z=Z, full_step_first=full_step_first)
+        return plain(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first=full_step_first)
 
     monkeypatch.setattr(solver_mod, "feasibility_line_search", recorder)
     solve(problem, config)
@@ -209,16 +209,16 @@ def test_column_landing_exactly_on_zero_is_decided_by_G(tmp_path):
     Z = problem.G(x)
 
     calls[0] = 0
-    got = feasibility_line_search(problem, x, d, s=1, gamma=0.5, pi=0.5, Z=Z)
+    got = feasibility_line_search(problem, x, d, s=1, gamma=0.5, pi=0.5, t_max=50, Z=Z)
     assert got == (3, 0.125, False)
     assert calls[0] == 1          # the undecided step
     calls[0] = 0
-    assert feasibility_line_search(problem, x, d, s=1, gamma=0.5, pi=0.5, Z=Z,
+    assert feasibility_line_search(problem, x, d, s=1, gamma=0.5, pi=0.5, t_max=50, Z=Z,
                                    full_step_first=True) == got
     assert calls[0] == 2          # the full step and the undecided one
 
     plain, plain_calls = counting(exact(problem))
-    assert feasibility_line_search(plain, x, d, s=1, gamma=0.5, pi=0.5) == got
+    assert feasibility_line_search(plain, x, d, s=1, gamma=0.5, pi=0.5, t_max=50, Z=Z) == got
     assert plain_calls[0] == 4
 
 
@@ -229,9 +229,9 @@ def test_model_decides_the_full_step(tmp_path):
 
     def search(d, **kw):
         calls[0] = 0
-        got = feasibility_line_search(problem, x, d, 1, 0.5, 0.85, Z=Z, **kw)
+        got = feasibility_line_search(problem, x, d, 1, 0.5, 0.85, 50, Z, **kw)
         made = calls[0]
-        assert got == feasibility_line_search(exact(problem), x, d, 1, 0.5, 0.85)
+        assert got == feasibility_line_search(exact(problem), x, d, 1, 0.5, 0.85, 50, Z)
         return got, made
 
     # the model accepts the full step: no G call, one when G goes first
@@ -250,7 +250,7 @@ def test_model_decides_the_full_step(tmp_path):
     Z = problem.G(x)
     for full_step_first in (False, True):
         calls[0] = 0
-        assert feasibility_line_search(problem, x, d, s=1, gamma=0.5, pi=0.5, Z=Z,
+        assert feasibility_line_search(problem, x, d, s=1, gamma=0.5, pi=0.5, t_max=50, Z=Z,
                                        full_step_first=full_step_first) == (0, 1.0, False)
         assert calls[0] == 1
 
@@ -310,7 +310,8 @@ def test_nonfinite_trial_point_counts_as_rejected():
     with np.errstate(over="ignore"):
         # the full step lands on x0 = 1000, where G is -inf
         assert feasibility_line_search(problem, np.zeros(1), np.array([1000.0]),
-                                       s=1, gamma=3.0, pi=0.85) == (3, 0.85 * 0.85 * 0.85, False)
+                                       s=1, gamma=3.0, pi=0.85, t_max=50,
+                                       Z=problem.G(np.zeros(1))) == (3, 0.85 * 0.85 * 0.85, False)
         res = solve(problem, SolverConfig(s=1))
     assert res.status == "LineSearchStalled"
     assert np.all(np.isfinite(res.point.x)) and res.point.x[0] < 710.0

@@ -57,11 +57,19 @@ def reference(problem, point, V, mu, pivot_tol=1e-12, Z=None):
     return np.concatenate([head, -W[crows, ccols]]), True
 
 
-def strict(problem, point, V, mu, pivot_tol=1e-12, Z=None, F=None):
-    """``newton_direction`` with every warning raised as an error."""
+def strict(problem, point, V, mu, Z=None, F=None):
+    """``newton_direction`` with every warning raised as an error.
+
+    The residual ``F`` is built from ``Z`` = G(x), or from a fresh G when
+    ``Z`` is not given, unless it is passed; the gradient columns of V are
+    always computed afresh.
+    """
+    Gv = problem.grad_G_cols(point.x, V.rows, V.cols) if len(V) else None
+    if F is None:
+        F = stationarity_residual(problem, point, V, Z=Z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return newton_direction(problem, point, V, mu, pivot_tol, Z=Z, F=F)
+        return newton_direction(problem, point, V, mu, F, Gv)
 
 
 def assert_same(got, want):
@@ -74,18 +82,18 @@ def assert_same(got, want):
 
 
 def recorded_steps(problem, config, monkeypatch, start=None):
-    """(problem, point, V, mu, pivot_tol, G(x), F, Gv) of every Newton step
-    that ``solve`` takes on ``problem``."""
+    """(problem, point, V, mu, G(x), F, Gv) of every Newton step that
+    ``solve`` takes on ``problem``."""
     calls = []
     plain = solver_mod.newton_direction
 
-    def recorder(problem, point, V, mu, pivot_tol=1e-12, Z=None, F=None, Gv=None):
+    def recorder(problem, point, V, mu, F, Gv):
         # solve passes the residual and the gradient columns, not G(x), and
         # updates W in place after the step, so keep copies
         calls.append((problem, PrimalDualPoint(point.x.copy(), point.W.copy()),
-                      V, mu, pivot_tol, problem.G(point.x), F.copy(),
+                      V, mu, problem.G(point.x), F.copy(),
                       None if Gv is None else Gv.copy()))
-        return plain(problem, point, V, mu, pivot_tol, Z=Z, F=F, Gv=Gv)
+        return plain(problem, point, V, mu, F, Gv)
 
     monkeypatch.setattr(solver_mod, "newton_direction", recorder)
     solve(problem, config, start)
@@ -111,9 +119,9 @@ def test_recorded_steps_match_the_reference_bit_for_bit(K, M, N, b, alpha, monke
         config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=100)
         for args in recorded_steps(problem, config, monkeypatch):
             sizes.append(len(args[2]))
-            assert_same(strict(*args[:5], Z=args[5]), reference(*args[:5], Z=args[5]))
-            # without Z, G is evaluated inside; same answer
-            assert_same(strict(*args[:5]), reference(*args[:5], Z=args[5]))
+            assert_same(strict(*args[:4], Z=args[4]), reference(*args[:4], Z=args[4]))
+            # a residual from a fresh G gives the same answer
+            assert_same(strict(*args[:4]), reference(*args[:4], Z=args[4]))
     assert 0 in sizes and max(sizes) >= 2
 
 
@@ -135,10 +143,10 @@ def test_the_residual_solve_passes_is_current_and_gives_the_same_step(K, M, N, b
             steps = [rec.step for rec in solve(problem, config, start).trace]
             after_zero_step += steps[:-1].count(0.0)
             for args in recorded_steps(problem, config, monkeypatch, start):
-                problem, point, V, mu, pivot_tol, Z, F, _ = args
+                problem, point, V, mu, Z, F, _ = args
                 assert F.tobytes() == stationarity_residual(problem, point, V, Z=Z).tobytes()
-                assert_same(strict(problem, point, V, mu, pivot_tol, Z=Z, F=F),
-                            strict(problem, point, V, mu, pivot_tol, Z=Z))
+                assert_same(strict(problem, point, V, mu, F=F),
+                            strict(problem, point, V, mu, Z=Z))
     assert after_zero_step >= 4
 
 
@@ -151,9 +159,9 @@ def test_solve_steps_from_the_unfused_layers(K, M, N, b, alpha, monkeypatch):
     for seed in range(4):
         problem = make_norm_opt(K, M, N, b=b, seed=seed)
         config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=100)
-        for problem, point, V, _, _, Z, F, Gv in recorded_steps(problem, config, monkeypatch):
+        for problem, point, V, _, Z, F, Gv in recorded_steps(problem, config, monkeypatch):
             cols = select_candidate_columns(Z + config.tau * point.W, s)
-            assert V == active_set(problem, point, config.tau, cols, Z=Z)
+            assert V == active_set(Z + config.tau * point.W, cols)
             assert F.tobytes() == stationarity_residual(problem, point, V, Z=Z).tobytes()
             if len(V):
                 assert Gv.tobytes() == problem.grad_G_cols(point.x, V.rows, V.cols).tobytes()
@@ -205,14 +213,17 @@ def test_exactly_singular_system_is_refused_without_a_warning(L):
     assert reference(problem, point, V, 0.0) == (None, False)
 
 
-def test_small_relative_pivot_is_refused():
+def test_small_relative_pivot_is_refused(monkeypatch):
     theta = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
     problem = constant_problem(theta, np.zeros((2, 1)), np.array([1.0, -2.0]),
                                np.zeros((1, 1)))
     point = PrimalDualPoint(np.zeros(2), np.zeros((1, 1)))
     V = ActiveSet([], (1, 1))
+    assert solver_mod._PIVOT_TOL == 1e-12
     assert strict(problem, point, V, 0.5) == (None, False)
+    assert reference(problem, point, V, 0.5) == (None, False)
     # a looser pivot tolerance accepts the same system
-    assert_same(strict(problem, point, V, 0.5, pivot_tol=1e-16),
+    monkeypatch.setattr(solver_mod, "_PIVOT_TOL", 1e-16)
+    assert_same(strict(problem, point, V, 0.5),
                 reference(problem, point, V, 0.5, pivot_tol=1e-16))
-    assert strict(problem, point, V, 0.5, pivot_tol=1e-16)[1]
+    assert strict(problem, point, V, 0.5)[1]

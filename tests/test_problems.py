@@ -147,27 +147,29 @@ class TestNormOpt:
         assert p.hess_f(np.zeros(4)) is H
 
 
+# the largest magnitude whose square is finite; a larger draw is rejected
+SQUARE_MAX = float(np.sqrt(np.finfo(float).max))
+
 # magnitudes on both sides of the range where sqrt(x*x) == |x|: zeros,
-# subnormals, around 2^-511 and 2^511, and squares that overflow
+# subnormals, around 2^-511 and 2^511, and the largest finite squares
 EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-511,
                   -np.nextafter(2.0**-511, 0.0), np.nextafter(2.0**511, 0.0), -2.0**511,
-                  1e200, -np.finfo(float).max, 1e-160, 1.5, -3.0])
+                  SQUARE_MAX, -SQUARE_MAX, 1e-160, 1.5, -3.0])
 
 
 def signed(lo, hi):
     return st.floats(lo, hi) | st.floats(-hi, -lo)
 
 
-DRAW_VALUES = (st.floats(allow_nan=False, allow_infinity=False)
+DRAW_VALUES = (st.floats(-SQUARE_MAX, SQUARE_MAX)
                | st.floats(-2.0**-1022, 2.0**-1022)
-               | signed(2.0**-515, 2.0**-507) | signed(2.0**507, 2.0**515)
-               | signed(1e199, 1e201) | st.sampled_from(EDGES.tolist()))
+               | signed(2.0**-515, 2.0**-507) | signed(2.0**507, SQUARE_MAX)
+               | st.sampled_from(EDGES.tolist()))
 
 
 def built(draws):
-    """An instance from a copy of ``draws``; squares may overflow to inf."""
-    with np.errstate(over="ignore"):
-        return _build_norm_opt(draws.copy(), 1.0, 0.5, 0.5, None)
+    """An instance from a copy of ``draws``."""
+    return _build_norm_opt(draws.copy(), 1.0, 0.5, 0.5, None)
 
 
 class TestRawDraws:
@@ -178,8 +180,7 @@ class TestRawDraws:
     def test_xi_round_trips_bit_for_bit(self, draws):
         p = built(draws)
         np.testing.assert_array_equal(p.xi.view(np.int64), draws.view(np.int64))
-        with np.errstate(over="ignore"):
-            np.testing.assert_array_equal(p.xi_sq.view(np.int64), (draws ** 2).view(np.int64))
+        np.testing.assert_array_equal(p.xi_sq.view(np.int64), (draws ** 2).view(np.int64))
 
     def test_gaussian_draws_need_no_patch(self):
         p = make_norm_opt(6, 3, 40, seed=2)
@@ -195,6 +196,18 @@ class TestRawDraws:
             with pytest.raises(ValueError, match="non-finite"):
                 _build_norm_opt(draws, 1.0, 0.5, 0.5, None)
 
+    def test_draws_whose_square_overflows_rejected(self, tmp_path):
+        # a square of inf would make G return inf, or nan where x_k = 0
+        for bad in (np.nextafter(SQUARE_MAX, np.inf), 1e200, -np.finfo(float).max):
+            draws = np.ones((2, 1, 3))
+            draws[1, 0, 2] = bad
+            with pytest.raises(ValueError, match="overflows when squared"):
+                _build_norm_opt(draws, 1.0, 0.5, 0.5, None)
+        path = tmp_path / "samples.csv"
+        path.write_text("1e200,1.0\n")
+        with pytest.raises(ValueError, match="overflows when squared"):
+            load_samples(path)
+
     def test_replace_keeps_xi(self):
         p = built(EDGES.reshape(2, 1, 7))
         q = dataclasses.replace(p, G=p.G, b=2.0)
@@ -205,8 +218,7 @@ class TestRawDraws:
         for p in (make_norm_opt(3, 2, 5, seed=8), built(EDGES.reshape(2, 1, 7))):
             first, second = tmp_path / "first.csv", tmp_path / "second.csv"
             save_samples(p, first)
-            with np.errstate(over="ignore"):
-                q = load_samples(first)
+            q = load_samples(first)
             save_samples(q, second)
             assert first.read_bytes() == second.read_bytes()
 

@@ -133,6 +133,10 @@ def test_config_defaults():
     assert cfg.max_it == 2000
     assert cfg.tol_scale == 1e-9
     assert cfg.gamma is None
+    # the pivot threshold is a constant of the solver, not a knob
+    assert len(dataclasses.fields(SolverConfig)) == 10
+    with pytest.raises(TypeError):
+        SolverConfig(s=5, pivot_tol=1e-16)
 
 
 # --------------------------------------------------- select_candidate_columns
@@ -162,10 +166,10 @@ def test_newton_matches_dense_jacobian_solve():
     V = ActiveSet([(0, 1), (1, 1), (0, 2)], (2, 3))
 
     mu = 7e-3
-    d, ok = newton_direction(problem, pt, V, mu)
+    F = stationarity_residual(problem, pt, V)
+    d, ok = newton_direction(problem, pt, V, mu, F, problem.grad_G_cols(pt.x, V.rows, V.cols))
     assert ok
     J = smoothed_jacobian(problem, pt, V, mu)
-    F = stationarity_residual(problem, pt, V)
     assert np.allclose(d, np.linalg.solve(J, -F), rtol=0, atol=1e-11)
 
     crows, ccols = V.complement()
@@ -180,7 +184,7 @@ def test_newton_with_empty_active_set_is_plain_newton_on_f():
     pt = PrimalDualPoint(x, np.zeros((2, 2)))
     V = ActiveSet([], (2, 2))
 
-    d, ok = newton_direction(problem, pt, V, mu=1e-2)
+    d, ok = newton_direction(problem, pt, V, 1e-2, stationarity_residual(problem, pt, V), None)
     assert ok
     # hessian is the identity, so the head is just the negated gradient
     assert np.allclose(d[:4], -(x + c), rtol=0, atol=1e-14)
@@ -191,13 +195,13 @@ def test_newton_flags_singular_system():
     problem = flat_problem(1, 2, [1.0, -2.0], -np.ones((1, 2)))
     pt = PrimalDualPoint.zeros(problem)
     V = ActiveSet([], (1, 2))
+    F = stationarity_residual(problem, pt, V)
 
-    d, ok = newton_direction(problem, pt, V, mu=1e-2)
+    d, ok = newton_direction(problem, pt, V, 1e-2, F, None)
     assert not ok
     assert d is None
 
-    fb = fallback_direction(problem, pt, V)
-    assert np.array_equal(fb, -stationarity_residual(problem, pt, V))
+    assert np.array_equal(fallback_direction(F), -F)
 
 
 # --------------------------------------------------- feasibility_line_search
@@ -209,14 +213,15 @@ def test_line_search_finds_minimal_exponent():
     # full step makes column 0 violate on top of column 2; half step parks
     # column 0 exactly at zero, which does not count
     t, alpha, stalled = feasibility_line_search(
-        problem, x, d_x, s=1, gamma=0.4, pi=0.5, t_max=10)
+        problem, x, d_x, s=1, gamma=0.4, pi=0.5, t_max=10, Z=problem.G(x))
     assert (t, alpha, stalled) == (1, 0.5, False)
 
 
 def test_line_search_accepts_zero_exponent_within_budget():
     problem = quad_problem(1, 3, np.zeros(3), [[-1.0, -1.0, 0.5]])
     t, alpha, stalled = feasibility_line_search(
-        problem, np.zeros(3), np.zeros(3), s=1, gamma=0.4, pi=0.5, t_max=10)
+        problem, np.zeros(3), np.zeros(3), s=1, gamma=0.4, pi=0.5, t_max=10,
+        Z=problem.G(np.zeros(3)))
     assert (t, alpha, stalled) == (0, 1.0, False)
 
 
@@ -224,14 +229,16 @@ def test_line_search_accepts_exactly_at_the_bound():
     problem = quad_problem(1, 3, np.zeros(3), [[0.5, 0.5, -1.0]])
     # two violating columns, bound (1 + 1) * 1 = 2: boundary counts as inside
     t, alpha, stalled = feasibility_line_search(
-        problem, np.zeros(3), np.zeros(3), s=1, gamma=1.0, pi=0.5, t_max=10)
+        problem, np.zeros(3), np.zeros(3), s=1, gamma=1.0, pi=0.5, t_max=10,
+        Z=problem.G(np.zeros(3)))
     assert (t, alpha, stalled) == (0, 1.0, False)
 
 
 def test_line_search_returns_zero_step_when_exhausted():
     problem = quad_problem(1, 3, np.zeros(3), [[0.5, 0.5, 0.5]])
     t, alpha, stalled = feasibility_line_search(
-        problem, np.zeros(3), np.zeros(3), s=1, gamma=0.4, pi=0.5, t_max=5)
+        problem, np.zeros(3), np.zeros(3), s=1, gamma=0.4, pi=0.5, t_max=5,
+        Z=problem.G(np.zeros(3)))
     assert (t, alpha, stalled) == (5, 0.0, True)
 
 
@@ -385,7 +392,8 @@ def test_zero_steps_keep_the_state_of_the_returned_point(shape):
         zero_steps += sum(rec.step == 0.0 for rec in res.trace)
         pt = res.point
         Z = problem.G(pt.x)
-        V = active_set(problem, pt, cfg.tau, select_candidate_columns(Z + cfg.tau * pt.W, s), Z=Z)
+        lam = Z + cfg.tau * pt.W
+        V = active_set(lam, select_candidate_columns(lam, s))
         assert res.active == V
         assert res.final_residual == float(np.linalg.norm(stationarity_residual(problem, pt, V, Z=Z)))
     assert zero_steps > 0
@@ -424,7 +432,8 @@ def test_zero_step_that_flips_a_zero_of_x_refreshes():
     pt = res.point
     Z = problem.G(pt.x)
     assert not np.signbit(pt.x[0]) and np.array_equal(Z, pos)
-    V = active_set(problem, pt, cfg.tau, select_candidate_columns(Z + cfg.tau * pt.W, 1), Z=Z)
+    lam = Z + cfg.tau * pt.W
+    V = active_set(lam, select_candidate_columns(lam, 1))
     assert res.active == V and V.cols.tolist() == [3, 4, 5, 6, 7]
     assert res.final_residual == float(np.linalg.norm(stationarity_residual(problem, pt, V, Z=Z)))
 

@@ -62,10 +62,11 @@ class TestActiveSet:
         # W = 0 and all zero-max columns: active positions are the zeros
         p = make_counterexample()
         pt = PrimalDualPoint(np.array([1.0, 1.0]), np.zeros((1, 2)))
-        V = active_set(p, pt, 0.75, [0, 1])
+        lam = p.G(pt.x) + 0.75 * pt.W
+        V = active_set(lam, [0, 1])
         assert V.pairs == ((0, 0), (0, 1))
         # restricting to one column keeps only that column's entries
-        V1 = active_set(p, pt, 0.75, [1])
+        V1 = active_set(lam, [1])
         assert V1.pairs == ((0, 1),)
 
 
