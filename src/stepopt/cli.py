@@ -79,10 +79,20 @@ def load_config(path) -> dict[str, str]:
     return pairs
 
 
+# the subcommands that declare --config, through add_solver_flags
+_CONFIG_COMMANDS = ("solve", "bench")
+
+
 def _inline_config(argv: list[str]) -> list[str]:
-    """Replace '--config FILE' with the file's flags, placed before user flags."""
-    if "--config" not in argv:
+    """Replace '--config FILE' with the file's flags, placed before user flags.
+
+    Only the subcommands in _CONFIG_COMMANDS take --config; for the others
+    it is left for the parser to reject.  A second --config is an error.
+    """
+    if not argv or argv[0] not in _CONFIG_COMMANDS or "--config" not in argv:
         return argv
+    if argv.count("--config") > 1:
+        raise ValueError("--config may be given only once")
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise ValueError("--config requires a file path")
@@ -116,7 +126,10 @@ def add_instance_flags(p: argparse.ArgumentParser, with_preset: bool = True):
                    help="violation level; default budget is ceil(alpha*N)")
     g.add_argument("--s", type=int, default=argparse.SUPPRESS,
                    help="violation budget (default ceil(alpha*N))")
-    g.add_argument("--b", type=float, default=argparse.SUPPRESS, help="constraint threshold")
+    g.add_argument("--b", type=float, default=argparse.SUPPRESS,
+                   help="constraint threshold (default 100, at which the default "
+                        "K=10 instance never activates its constraint and a solve "
+                        "ends after one unconstrained step; the paper uses 14-16)")
     g.add_argument("--lambda1", type=float, default=argparse.SUPPRESS,
                    help="negative-part penalty weight")
     g.add_argument("--lambda2", type=float, default=argparse.SUPPRESS,
@@ -445,6 +458,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        # --config=FILE or an abbreviation: parsed, but not inlined
+        parser.error("give --config FILE as two words, in full")
     try:
         return args.func(args)
     except SolverAbort as exc:

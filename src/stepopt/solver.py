@@ -8,7 +8,10 @@ iterate's violation count within a relaxed budget (gamma + 1) * s, and the
 smoothing weight shrinks geometrically but never above a fixed multiple of
 the current residual norm.  Problems that model G along the search ray
 (``ProblemInstance.violations_along``) let that search count violations
-without evaluating G at every trial step.
+without evaluating G at every trial step.  The search asks the model for
+its trial steps a chunk at a time, largest first, so a model that drops
+the columns it has settled for smaller steps, as the norm-design one
+does, evaluates fewer columns in each later chunk.
 """
 from __future__ import annotations
 

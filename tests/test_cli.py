@@ -318,3 +318,37 @@ def test_default_export_bip_is_the_library_default_export(tmp_path, capsys):
     assert run(capsys, ["export-bip", "--out", str(cli_lp)])[0] == 0
     export_bip(make_norm_opt(10, 1, 100, seed=0), 5, lib_lp)
     assert cli_lp.read_bytes() == lib_lp.read_bytes()
+
+
+def test_export_bip_rejects_config(tmp_path, capsys):
+    # only solve and bench declare --config; other subcommands leave it to
+    # the parser, which names it rather than the solver keys in the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau=0.5\nmax_it=40\n")
+    out = tmp_path / "m.lp"
+    with pytest.raises(SystemExit) as exc:
+        main(["export-bip", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: --config {cfg}" in err
+    assert "--tau" not in err and not out.exists()
+
+
+def test_second_config_exits_1(tmp_path, capsys):
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("b=14.0\n")
+    second.write_text("seed=17\n")
+    code, out, err = run(capsys, ["solve", "--config", str(first), "--config", str(second)])
+    assert code == 1 and out == ""
+    assert "--config may be given only once" in err
+
+
+@pytest.mark.parametrize("form", [["--config={}"], ["--conf", "{}"]])
+def test_config_not_given_in_full_exits_1(form, tmp_path, capsys):
+    # forms the parser accepts but that are not inlined are not ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("b=14.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", *[part.format(cfg) for part in form]])
+    assert exc.value.code == 1
+    assert "give --config FILE as two words, in full" in capsys.readouterr().err

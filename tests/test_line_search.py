@@ -13,10 +13,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepopt.solver as solver_mod
 from stepopt.geometry import step_norm
 from stepopt.problems import (
+    _MODEL_BLOCK_BYTES,
     ProblemInstance,
     load_samples,
     make_norm_opt,
@@ -69,13 +72,16 @@ def recorded_searches(problem, config, monkeypatch):
 
 
 # (K, M, N, b, alpha) and the search outcomes their solves on seeds 0-5
-# reach: the paper's shape at both thresholds, and a smaller copy of the
-# wide benchmark shape, whose first full step always overshoots
+# reach: the paper's shape at both thresholds, a smaller copy of the wide
+# benchmark shape, whose first full step always overshoots, and a shape
+# whose model takes 13 steps a call, so that each stalled search makes
+# four calls and the last three leave out the columns already settled
 SHAPES = [
     (10, 1, 100, 14.0, 0.05, {"full", "backtracked", "stalled"}),
     (10, 1, 100, 16.0, 0.01, {"full", "backtracked", "stalled"}),
     (10, 1, 100, 14.0, 0.1, {"full", "backtracked"}),
     (50, 20, 200, 40.0, 0.05, {"backtracked", "stalled"}),
+    (20, 10, 2000, 25.0, 0.05, {"backtracked", "stalled"}),
 ]
 
 
@@ -179,6 +185,71 @@ def test_model_bounds_hold_at_every_step():
         lo, hi = counts(alphas)
         for a, l, h in zip(alphas, lo, hi):
             assert l <= step_norm(problem.G(x + a * d)) <= h
+
+
+# K and (M, N) with M*N below one row block of the model's coefficient
+# pass, and M*N over two blocks but not a multiple of one
+BLOCK_K = 40
+BLOCK_ROWS = _MODEL_BLOCK_BYTES // (8 * BLOCK_K)
+BLOCK_SHAPES = [(2, 100), (3, 700)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(BLOCK_SHAPES), seed=st.integers(0, 3),
+       point=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([0.3, 1.0, 3.0]),
+       b=st.sampled_from([20.0, 40.0, 80.0]), chunk=st.integers(1, 20),
+       back=st.integers(0, 50))
+def test_model_bounds_hold_in_chunk_order_and_out_of_it(shape, seed, point, scale, b,
+                                                       chunk, back):
+    # The search asks for its steps a chunk at a time, largest first, and
+    # the model leaves out of later chunks the columns that earlier ones
+    # settled.  A step back above the smallest step tried must still be
+    # bounded, over all columns, and so must every step when the caller
+    # overwrites its array of steps after each call.
+    M, N = shape
+    assert M * N < BLOCK_ROWS or (M * N > 2 * BLOCK_ROWS and M * N % BLOCK_ROWS)
+    problem = make_norm_opt(BLOCK_K, M, N, b=b, seed=seed)
+    rng = np.random.default_rng(point)
+    x = rng.uniform(-1.5, 1.5, BLOCK_K)
+    d = rng.standard_normal(BLOCK_K) * scale
+    counts = problem.violations_along(x, d, problem.G(x))
+    steps = solver_mod._step_table(0.85, 50)
+    calls = [steps[start:start + chunk] for start in range(0, steps.size, chunk)]
+    calls.append(steps[back:back + 3])
+    for alphas in calls:
+        alphas = alphas.copy()
+        lo, hi = counts(alphas)
+        for a, l, h in zip(alphas, lo, hi):
+            assert l <= step_norm(problem.G(x + a * d)) <= h
+        alphas[:] = 1.0
+
+
+def test_stalled_search_evaluates_few_columns(monkeypatch):
+    # A stalled search asks the model for all 51 steps in four calls.
+    # Convexity settles most columns after the first call, so the calls
+    # evaluate far fewer than the 51 * N column-steps of the whole model.
+    K, M, N, b, alpha = 20, 10, 2000, 25.0, 0.05
+    problem = make_norm_opt(K, M, N, b=b, seed=0)
+    s = math.ceil(alpha * N)
+    config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=30)
+    chunk = solver_mod._MODEL_CHUNK_ENTRIES // (M * N)
+    steps = solver_mod._step_table(config.pi, config.t_max)
+    stalled = 0
+    for x, d, s, gamma, pi, t_max, _ in recorded_searches(problem, config, monkeypatch):
+        Z = problem.G(x)
+        if not feasibility_line_search(problem, x, d, s, gamma, pi, t_max, Z)[2]:
+            continue
+        stalled += 1
+        counts = problem.violations_along(x, d, Z)
+        evaluated = 0
+        for start in range(0, t_max + 1, chunk):
+            alphas = steps[start:start + chunk]
+            counts(alphas)
+            # the tops of the call, one row per step and one column per
+            # column evaluated
+            evaluated += inspect.getclosurevars(counts).nonlocals["last"][1].size
+        assert evaluated < 0.5 * (t_max + 1) * N
+    assert stalled
 
 
 def landing_on_zero(tmp_path, step):

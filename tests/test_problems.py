@@ -111,6 +111,9 @@ class TestNormOpt:
         np.testing.assert_allclose(p.grad_G_cols(x, rows, cols), loop_g, atol=1e-14)
         loop_h = sum(wi * np.diag(2.0 * p.xi_sq[n, m]) for wi, m, n in zip(w, rows, cols))
         np.testing.assert_allclose(p.weighted_hess_G(x, rows, cols, w), loop_h, atol=1e-13)
+        # bit for bit the diagonal matrix of the weighted sum of the rows
+        want = np.diag(2.0 * (w @ p.xi_sq[cols, rows, :]))
+        assert p.weighted_hess_G(x, rows, cols, w).tobytes() == want.tobytes()
         # no entries: an empty (K, 0) block and a zero Hessian
         none = np.array([], dtype=np.intp)
         assert p.grad_G_cols(x, none, none).shape == (5, 0)
