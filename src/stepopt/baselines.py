@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import step_norm
 from .problems import NormOptInstance, ProblemInstance
 
 __all__ = [

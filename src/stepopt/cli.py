@@ -26,7 +26,6 @@ from .bounds import (
     feasibility_sample_size,
     s_lower_bound,
 )
-from .geometry import step_norm
 from .problems import (
     ProblemInstance,
     load_samples,
@@ -198,7 +197,8 @@ def write_trace(path, trace) -> None:
 
 def read_point(path, problem: ProblemInstance):
     """Point file: one line of K values for x, then optionally M lines of N
-    values for the multiplier matrix; '#' comments and blank lines ignored."""
+    values for the multiplier matrix; '#' comments and blank lines ignored.
+    Every value must be finite."""
     rows: list[list[float]] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -206,9 +206,12 @@ def read_point(path, problem: ProblemInstance):
             if not line:
                 continue
             try:
-                rows.append([float(t) for t in re.split(r"[,\s]+", line) if t])
+                row = [float(t) for t in re.split(r"[,\s]+", line) if t]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: not numeric") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no point data")
     x = np.array(rows[0], dtype=float)

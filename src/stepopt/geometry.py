@@ -228,12 +228,12 @@ def is_candidate_set(Z, s: int, cols, ztol: float = 0.0) -> bool:
     Z = _as_matrix(Z)
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
+    if ztol < 0:
+        raise ValueError(f"ztol must be >= 0, got {ztol}")
     cols = np.asarray(cols).astype(int)
     N = Z.shape[1]
     if cols.size and not (cols[0] >= 0 and cols[-1] < N and (cols[1:] > cols[:-1]).all()):
         return False
-    if ztol < 0:
-        raise ValueError(f"ztol must be >= 0, got {ztol}")
     # the partition of column_partition, as masks over one pass of maxima
     col_max = Z.max(axis=0)
     positive = col_max > ztol

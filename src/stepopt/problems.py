@@ -10,9 +10,10 @@ Gaussian data by default) and a fixed two-variable instance whose
 binary-style optimality conditions hold at a point that is not a local
 minimizer.  The norm-design instance also models G along a search ray, so
 the solver's line search can count violations without evaluating G: the
-model reads the samples once, in row blocks that stay in cache, and its
-later calls leave out the columns that convexity shows cannot violate at
-any smaller step.
+model reads the samples once, in row blocks that stay in cache, yields its
+bounds a chunk of steps at a time, largest steps first, and leaves out of
+each later chunk the columns that convexity shows cannot violate at any
+smaller step.
 """
 from __future__ import annotations
 
@@ -61,6 +62,10 @@ _DRAW_CHUNK_ENTRIES = 1 << 17
 # ms with blocks of 32-128 KiB, 3.7 ms at 256 KiB and 3.8-3.9 ms at 512
 # KiB-2 MiB (one BLAS thread, 2-vCPU Xeon, 2 MiB of L2 per core).
 _MODEL_BLOCK_BYTES = 1 << 18
+# The model yields its bounds for about this many entries of G at a time:
+# every trial step at once on small problems, a few at a time on large
+# ones, so its temporaries stay a few times this size.
+_MODEL_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -86,18 +91,20 @@ class ProblemInstance:
     f_batch, G_batch : callable
         f and G at the rows of a (P, K) array: shapes (P,) and (P, M, N).
     violations_along : callable, optional
-        ``violations_along(x, d, Z)``, with ``Z = G(x)``, models G along the
-        ray x + a*d.  It returns None when it cannot, or a function mapping
-        a 1-d array of step sizes a in [0, 1] to integer arrays (lo, hi)
-        with ``lo <= step_norm(G(x + a*d)) <= hi`` for each a.  The bounds
-        are exact statements about G as evaluated in floating point at the
-        trial point ``x + a * d``, not about its exact value, so a line
-        search that trusts them where both sit on one side of its cap
-        decides exactly as if it had called G.  As in ``step_norm``, an
-        entry exactly zero does not violate.  The hook must describe this
-        instance's own G.  The function may keep state between calls, such
-        as columns an earlier call has shown not to violate at smaller
-        steps, but its bounds must hold for any steps in any call order.
+        ``violations_along(x, d, Z, alphas)``, with ``Z = G(x)``, models G
+        along the ray x + a*d at the non-increasing step sizes ``alphas``
+        in [0, 1], and raises ValueError if a step is larger than the one
+        before it.  It returns None when it cannot, or an iterator that
+        yields, for consecutive chunks of ``alphas`` in order, integer
+        arrays (lo, hi) with ``lo <= step_norm(G(x + a*d)) <= hi`` for each
+        step a of the chunk.  The bounds are exact statements about G as
+        evaluated in floating point at the trial point ``x + a * d``, not
+        about its exact value, so a line search that trusts them where both
+        sit on one side of its cap decides exactly as if it had called G.
+        As in ``step_norm``, an entry exactly zero does not violate.  The
+        hook must describe this instance's own G, and reads ``alphas`` only
+        when it is called.  The iterator may drop from later chunks the
+        columns that earlier ones show not to violate at smaller steps.
     """
 
     K: int
@@ -231,7 +238,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
     xi_rows = xi_sq.reshape(N * M, K)
     block = max(1, _MODEL_BLOCK_BYTES // (xi_rows.itemsize * K))
 
-    def violations_along(x, d, Z):
+    def violations_along(x, d, Z, alphas):
         # G(x + a*d) = Z + a*c1 + a^2*c2 entrywise, with c1 = 2*sum_k
         # xi_sq*x*d and c2 = sum_k xi_sq*d^2.  In floating point every entry
         # of G at the trial point differs from the model, evaluated below as
@@ -251,21 +258,15 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         # sign of a sum, so a column whose largest model entry clears the
         # band on either side has that sign in G too.
         #
-        # The same bound settles columns for every step below one already
-        # tried.  c2 is a sum of nonnegative products, so it is >= 0 as
-        # rounded too, and each entry's quadratic q(a) = Z + a*c1 + a^2*c2,
-        # taken exactly on the rounded coefficients, is convex in a: on
-        # [0, a_j] it stays below max(Z, q(a_j)).  The bound above is a sum
-        # of parts, so it bounds on its own the distance of G from q (the
-        # trial point, G's own rounding and that of the coefficients) and
-        # that of the evaluated model from q (its products and sums).  With
-        # t_j a column's evaluated top at a_j, each of its entries of G at
-        # a step a <= a_j is therefore at most
-        #     max(Z, t_j + band(a_j)) + band(a),
-        # and band(a) <= band(a_j), since rounding is monotone and e2 >= 0.
-        # A column whose maxima of Z and t_j both sit below -2*band(a_j)
-        # has every entry of G below zero at every step in [0, a_j]: it does
-        # not violate there, whatever the model would read at that step.
+        # The steps are copied once, as rows (1, a, a^2) of step powers, so
+        # a caller that changes its array later changes no bound.
+        powers = np.empty((len(alphas), 3))
+        powers[:, 0] = 1.0
+        powers[:, 1] = alphas
+        a = powers[:, 1]
+        if not (a[1:] <= a[:-1]).all():
+            raise ValueError("violations_along: the steps must be non-increasing")
+        powers[:, 2] = a * a
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
         if not x @ x + d @ d <= _SAFE_VAL:
@@ -297,54 +298,51 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         band_coef[0] = (3.0 * c) * mag[0] + c * (2.0 * b + _TINY)
         band_coef[1] = (2.0 * c) * mag[2]
 
-        # A model over some columns: its coefficient rows (3, M*L), band
-        # rows (2, L) and the column maxima of Z, None until needed.  The
-        # columns left out of `live` do not violate at any step up to
-        # `limit`; `last` holds the previous call's step powers, tops,
-        # negated bands and model until the next call settles columns from
-        # them.  The powers are the model's own copy of the steps, which a
-        # caller may overwrite between calls.
-        full = (coef.reshape(3, M * N), band_coef, None)
-        live, limit, last = full, -1.0, None
+        per_chunk = max(1, _MODEL_CHUNK_ENTRIES // (M * N))
+        return model_chunks(powers, per_chunk, coef.reshape(3, M * N), band_coef)
 
-        def settle(powers, top, neg_band, model):
-            """The part of ``model`` that its smallest step leaves unsettled,
-            and that step."""
-            alphas = powers[:, 1]
-            j = int(alphas.argmin())
-            rows, bands, zmax = model
-            if zmax is None:
-                zmax = coef[0].max(axis=0)
-            keep = np.flatnonzero(np.maximum(top[j], zmax) >= 2.0 * neg_band[j])
-            if keep.size < zmax.size:
-                # np.take gathers whole columns about 3x faster than indexing
-                rows = np.take(rows.reshape(3, M, -1), keep, axis=2).reshape(3, -1)
-                bands, zmax = bands[:, keep], zmax[keep]
-            return (rows, bands, zmax), float(alphas[j])
-
-        def counts(alphas):
-            nonlocal live, limit, last
-            # settled lazily: a search that one call decides pays nothing
-            if last is not None:
-                live, limit = settle(*last)
-                last = None
-            # a step above the limit may see any column violate
-            model = live if live is not full and alphas.size and alphas.max() <= limit else full
-            rows, bands, _ = model
-            powers = np.empty((alphas.size, 3))
-            powers[:, 0] = 1.0
-            powers[:, 1] = alphas
-            powers[:, 2] = alphas * alphas
-            top = (powers @ rows).reshape(alphas.size, M, -1).max(axis=1)
-            band = powers[:, ::2] @ bands
+    def model_chunks(powers, per_chunk, rows, bands):
+        # The (lo, hi) bounds of violations_along, per_chunk steps at a
+        # time, from the model over the live columns: coefficient rows
+        # (3, M*L), band rows (2, L) and, once a chunk has settled columns,
+        # the column maxima of Z.
+        #
+        # The rounding bound of violations_along settles columns for every
+        # step below one already tried.  c2 is a sum of nonnegative
+        # products, so it is >= 0 as rounded too, and each entry's quadratic
+        # q(a) = Z + a*c1 + a^2*c2, taken exactly on the rounded
+        # coefficients, is convex in a: on [0, a_j] it stays below
+        # max(Z, q(a_j)).  The rounding bound is a sum of parts, so it
+        # bounds on its own the distance of G from q (the trial point, G's
+        # own rounding and that of the coefficients) and that of the
+        # evaluated model from q (its products and sums).  With t_j a
+        # column's evaluated top at a_j, each of its entries of G at a step
+        # a <= a_j is therefore at most
+        #     max(Z, t_j + band(a_j)) + band(a),
+        # and band(a) <= band(a_j), since rounding is monotone and e2 >= 0.
+        # A column whose maxima of Z and t_j both sit below -2*band(a_j)
+        # has every entry of G below zero at every step in [0, a_j]: it does
+        # not violate there, whatever the model would read at that step.
+        zmax = None
+        for first in range(0, len(powers), per_chunk):
+            if first:
+                # settled here, when the search asks for another chunk: a
+                # search that one chunk decides pays nothing for it
+                j = int(p[:, 1].argmin())
+                if zmax is None:
+                    zmax = rows.reshape(3, M, N)[0].max(axis=0)
+                keep = np.flatnonzero(np.maximum(top[j], zmax) >= 2.0 * band[j])
+                if keep.size < zmax.size:
+                    # np.take gathers whole columns about 3x faster than indexing
+                    rows = np.take(rows.reshape(3, M, -1), keep, axis=2).reshape(3, -1)
+                    bands, zmax = bands[:, keep], zmax[keep]
+            p = powers[first:first + per_chunk]
+            top = (p @ rows).reshape(len(p), M, -1).max(axis=1)
+            band = p[:, ::2] @ bands
             # comparisons are exact: top > band iff the rounded top - band > 0
             lo = (top > band).sum(axis=1)
             np.negative(band, out=band)
-            if alphas.size:
-                last = (powers, top, band, model)
-            return lo, bands.shape[1] - (top < band).sum(axis=1)
-
-        return counts
+            yield lo, bands.shape[1] - (top < band).sum(axis=1)
 
     return NormOptInstance(
         K=K, M=M, N=N,
@@ -391,6 +389,8 @@ def norm_opt_draw(K: int, M: int, b: float = _DEFAULT_B):
     the order of one ``rng.standard_normal((count, M, K))`` call, so the
     values, and the state ``rng`` is left in, are those of that call.
     """
+    if K < 1 or M < 1:
+        raise ValueError(f"dimensions must be positive, got K={K} M={M}")
     per_chunk = max(1, _DRAW_CHUNK_ENTRIES // (M * K))
 
     def draw(x, count, rng):

@@ -8,10 +8,9 @@ iterate's violation count within a relaxed budget (gamma + 1) * s, and the
 smoothing weight shrinks geometrically but never above a fixed multiple of
 the current residual norm.  Problems that model G along the search ray
 (``ProblemInstance.violations_along``) let that search count violations
-without evaluating G at every trial step.  The search asks the model for
-its trial steps a chunk at a time, largest first, so a model that drops
-the columns it has settled for smaller steps, as the norm-design one
-does, evaluates fewer columns in each later chunk.
+without evaluating G at every trial step.  The model yields its bounds a
+chunk of trial steps at a time, largest first, and the search takes the
+next chunk only when the ones before leave the step undecided.
 """
 from __future__ import annotations
 
@@ -55,11 +54,6 @@ _getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.floa
 # A Newton system whose LU factorization has a pivot below this fraction of
 # the system's largest entry is not trusted; the fallback direction is used.
 _PIVOT_TOL = 1e-12
-
-# The line search asks a violation model for about this many entries of G at
-# a time: every trial step at once on small problems, a few at a time on
-# large ones, so the model's temporaries stay a few times this size.
-_MODEL_CHUNK_ENTRIES = 1 << 18
 
 
 class SolverAbort(RuntimeError):
@@ -243,10 +237,11 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
     the full step is likely to pass.  Without the hook every trial step
     goes to G.  The result equals that of calling G at every trial step.
 
-    The steps are decided a chunk at a time, in order: the first step
-    whose upper bound is within the cap ends the search unless G accepts
-    one of the straddling steps before it.  Without the hook every step
-    straddles, with bounds (0, inf), and the chunk is the whole table.
+    The model yields the bounds a chunk of steps at a time, and the search
+    decides each chunk in order: the first step whose upper bound is within
+    the cap ends the search unless G accepts one of the straddling steps
+    before it.  Without the hook every step straddles, with bounds
+    (0, inf), in one chunk.
     """
     bound = (gamma + 1.0) * s
 
@@ -256,30 +251,28 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         return bool(np.isfinite(Zt).all()) and np.count_nonzero(Zt.max(axis=0) > 0.0) <= bound
 
     steps = _step_table(float(pi), int(t_max))
-    first = 0
+    start = 0
     if full_step_first:
         if within(1.0):
             return 0, 1.0, False
-        first = 1
-    counts = None
-    if problem.violations_along is not None and first <= t_max:
-        counts = problem.violations_along(x, d_x, Z)
-    if counts is None:
-        counts, chunk = _undecided, t_max + 1
-    else:
-        chunk = max(1, _MODEL_CHUNK_ENTRIES // (problem.M * problem.N))
-    for start in range(first, t_max + 1, chunk):
-        alphas = steps[start:start + chunk]
-        lo, hi = counts(alphas)
+        start = 1
+    chunks = None
+    if problem.violations_along is not None and start <= t_max:
+        chunks = problem.violations_along(x, d_x, Z, steps[start:])
+    if chunks is None:
+        n = t_max + 1 - start
+        chunks = [(np.zeros(n, dtype=np.intp), np.full(n, np.inf))]
+    for lo, hi in chunks:
         # the first step the bounds accept, and before it, in order, the
         # steps whose bounds straddle the cap
         sure = np.flatnonzero(hi <= bound)
-        stop = int(sure[0]) if sure.size else alphas.size
+        stop = int(sure[0]) if sure.size else lo.size
         for j in np.flatnonzero(lo[:stop] <= bound).tolist():
-            if within(alphas[j]):
-                return start + j, float(alphas[j]), False
+            if within(steps[start + j]):
+                return start + j, float(steps[start + j]), False
         if sure.size:
-            return start + stop, float(alphas[stop]), False
+            return start + stop, float(steps[start + stop]), False
+        start += lo.size
     return t_max, 0.0, True
 
 
@@ -293,11 +286,6 @@ def _step_table(pi: float, t_max: int) -> np.ndarray:
     out = np.array(steps)
     out.flags.writeable = False
     return out
-
-
-def _undecided(alphas):
-    """Violation-count bounds (0, inf) at every step: no model, G decides."""
-    return np.zeros(alphas.size, dtype=np.intp), np.full(alphas.size, np.inf)
 
 
 def solve(problem: ProblemInstance, config: SolverConfig,

@@ -37,6 +37,10 @@ __all__ = [
     "max_stationary_tau",
 ]
 
+# max_stationary_tau takes the active gradients as rank deficient when their
+# smallest singular value is at most this fraction of the largest.
+_RANK_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PrimalDualPoint:
@@ -351,7 +355,7 @@ def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
 
 
 def max_stationary_tau(problem: ProblemInstance, x: np.ndarray, s: int,
-                       rank_tol: float = 1e-10, ztol: float = 0.0) -> float:
+                       ztol: float = 0.0) -> float:
     """Largest step size keeping a multiplier-stationary point projection-stationary.
 
     Solves the square gradient system on the active positions (which must
@@ -374,7 +378,7 @@ def max_stationary_tau(problem: ProblemInstance, x: np.ndarray, s: int,
         return float("inf")
     A = problem.grad_G_cols(x, V.rows, V.cols)
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= rank_tol * sv[0]:
+    if sv.size == 0 or sv[-1] <= _RANK_TOL * sv[0]:
         raise ValueError("active constraint gradients are rank deficient")
     coef, *_ = np.linalg.lstsq(A, -problem.grad_f(x), rcond=None)
     W = np.zeros((problem.M, problem.N))

@@ -107,12 +107,13 @@ def norm_opt_draw(K, M, b=100.0):
     return draw
 
 
-def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first, chunk):
+def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first):
     """(t, alpha, stalled) of the backtracking search one trial step at a time.
 
     The step sizes are multiplied out in turn, the model's (lo, hi) bounds
-    are taken ``chunk`` steps at a time as the search needs them, and G
-    decides each step whose bounds straddle the cap, in order.
+    are read a step at a time from its chunks, each chunk only when the
+    search reaches it, and G decides each step whose bounds straddle the
+    cap, in order.
     """
     bound = (gamma + 1.0) * s
 
@@ -128,15 +129,14 @@ def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first, chunk)
         if within(1.0):
             return 0, 1.0, False
         first = 1
-    counts = None
+    chunks = None
     if problem.violations_along is not None and first <= t_max:
-        counts = problem.violations_along(x, d_x, Z)
+        chunks = problem.violations_along(x, d_x, Z, np.array(steps[first:]))
 
     def bounds():
-        if counts is None:
+        if chunks is None:
             yield from itertools.repeat((0, math.inf))
-        for start in range(first, t_max + 1, chunk):
-            lo, hi = counts(np.array(steps[start:start + chunk]))
+        for lo, hi in chunks:
             yield from zip(lo.tolist(), hi.tolist())
 
     for t, alpha, (lo, hi) in zip(range(first, t_max + 1), steps[first:], bounds()):

@@ -59,6 +59,16 @@ def test_membership_matches_the_family(Z, s, ztol, data):
         assert is_candidate_set(Z, s, cols, ztol=ztol) == (cols in fam)
 
 
+def test_membership_rejects_a_negative_ztol_for_every_probe():
+    # the tolerance is checked before any probe can be turned away
+    Z = np.array([[1.0, -1.0, 0.0]])
+    for cols in ([2, 1], [0, 1], [5], []):
+        with pytest.raises(ValueError, match="ztol"):
+            is_candidate_set(Z, 1, cols, ztol=-1.0)
+    with pytest.raises(ValueError, match="ztol"):
+        candidate_sets(Z, 1, ztol=-1.0)
+
+
 def test_membership_of_a_tie_too_large_to_enumerate():
     # 60 tied violating columns with room for 5: C(60, 5) members
     Z = np.full((1, 100), -1.0)

@@ -163,6 +163,20 @@ def test_check_rejects_wrong_point_length(tmp_path, capsys):
     assert "expected 2" in err
 
 
+@pytest.mark.parametrize("lines,bad", [
+    (["nan 1.0"], 1),
+    (["1.0 -inf"], 1),
+    (["1.0 1.0", "# multipliers", "0.5 nan"], 3),
+])
+def test_check_rejects_a_non_finite_point_before_any_verdict(tmp_path, capsys, lines, bad):
+    pt = tmp_path / "pt.txt"
+    pt.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["check", "--preset", "sec4-3", "--point", str(pt)])
+    assert code == 1
+    assert out == ""
+    assert err == f"stepopt: error: {pt}: line {bad}: non-finite value\n"
+
+
 def test_check_missing_point_file_exits_1(capsys):
     code, _, err = run(capsys, ["check", "--preset", "sec4-3",
                                 "--point", "/nonexistent/pt.txt"])

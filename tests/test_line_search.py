@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stepopt.problems as problems_mod
 import stepopt.solver as solver_mod
 from stepopt.geometry import step_norm
 from stepopt.problems import (
@@ -156,22 +157,29 @@ def test_chunked_decision_matches_the_step_loop(K, M, N, b, alpha, per_chunk, mo
     for seed in range(3):
         problem = make_norm_opt(K, M, N, b=b, seed=seed)
         searches = recorded_searches(problem, config, monkeypatch)
-        monkeypatch.setattr(solver_mod, "_MODEL_CHUNK_ENTRIES", per_chunk * M * N)
+        monkeypatch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", per_chunk * M * N)
         for x, d, s, gamma, pi, t_max, first in searches:
             Z = problem.G(x)
+            steps = solver_mod._step_table(pi, t_max)[first:]
+            sizes = [lo.size for lo, _ in problem.violations_along(x, d, Z, steps)]
+            assert sizes == [len(steps[i:i + per_chunk]) for i in range(0, steps.size, per_chunk)]
             for hook in (problem, exact(problem)):
                 counted, calls = counting(hook)
                 got = feasibility_line_search(counted, x, d, s, gamma, pi, t_max, Z=Z,
                                               full_step_first=first)
                 ref, ref_calls = counting(hook)
-                want = references.line_search(ref, x, d, s, gamma, pi, t_max, Z, first,
-                                              per_chunk)
+                want = references.line_search(ref, x, d, s, gamma, pi, t_max, Z, first)
                 assert got == want and calls[0] == ref_calls[0]
             # with the model, steps first..t took (t - first) // per_chunk + 1 chunks
             spanning += want[0] - first >= per_chunk
         monkeypatch.undo()
     if per_chunk < 51:
         assert spanning > 0
+
+
+def model_bounds(problem, x, d, alphas):
+    """The (lo, hi) bounds of every step in ``alphas``, over all the model's chunks."""
+    return tuple(map(np.concatenate, zip(*problem.violations_along(x, d, problem.G(x), alphas))))
 
 
 def test_model_bounds_hold_at_every_step():
@@ -181,8 +189,7 @@ def test_model_bounds_hold_at_every_step():
     for _ in range(20):
         x = rng.uniform(-1.5, 1.5, 12)
         d = rng.standard_normal(12) * 3.0
-        counts = problem.violations_along(x, d, problem.G(x))
-        lo, hi = counts(alphas)
+        lo, hi = model_bounds(problem, x, d, alphas)
         for a, l, h in zip(alphas, lo, hi):
             assert l <= step_norm(problem.G(x + a * d)) <= h
 
@@ -197,42 +204,70 @@ BLOCK_SHAPES = [(2, 100), (3, 700)]
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from(BLOCK_SHAPES), seed=st.integers(0, 3),
        point=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([0.3, 1.0, 3.0]),
-       b=st.sampled_from([20.0, 40.0, 80.0]), chunk=st.integers(1, 20),
-       back=st.integers(0, 50))
-def test_model_bounds_hold_in_chunk_order_and_out_of_it(shape, seed, point, scale, b,
-                                                       chunk, back):
-    # The search asks for its steps a chunk at a time, largest first, and
-    # the model leaves out of later chunks the columns that earlier ones
-    # settled.  A step back above the smallest step tried must still be
-    # bounded, over all columns, and so must every step when the caller
-    # overwrites its array of steps after each call.
+       b=st.sampled_from([20.0, 40.0, 80.0]), chunk=st.integers(1, 20))
+def test_model_bounds_hold_in_every_chunk(shape, seed, point, scale, b, chunk):
+    # The model yields its bounds ``chunk`` steps at a time, largest first,
+    # and leaves out of later chunks the columns that earlier ones settled.
+    # Every step of every chunk must still be bounded.
     M, N = shape
     assert M * N < BLOCK_ROWS or (M * N > 2 * BLOCK_ROWS and M * N % BLOCK_ROWS)
     problem = make_norm_opt(BLOCK_K, M, N, b=b, seed=seed)
     rng = np.random.default_rng(point)
     x = rng.uniform(-1.5, 1.5, BLOCK_K)
     d = rng.standard_normal(BLOCK_K) * scale
-    counts = problem.violations_along(x, d, problem.G(x))
     steps = solver_mod._step_table(0.85, 50)
-    calls = [steps[start:start + chunk] for start in range(0, steps.size, chunk)]
-    calls.append(steps[back:back + 3])
-    for alphas in calls:
-        alphas = alphas.copy()
-        lo, hi = counts(alphas)
-        for a, l, h in zip(alphas, lo, hi):
-            assert l <= step_norm(problem.G(x + a * d)) <= h
+    done = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", chunk * M * N)
+        for lo, hi in problem.violations_along(x, d, problem.G(x), steps):
+            assert lo.size == min(chunk, steps.size - done)
+            for a, l, h in zip(steps[done:], lo, hi):
+                assert l <= step_norm(problem.G(x + a * d)) <= h
+            done += lo.size
+    assert done == steps.size
+
+
+def test_model_keeps_its_own_copy_of_the_steps(monkeypatch):
+    # A caller that overwrites its array of steps after the first chunk
+    # changes none of the later bounds: the model copied the steps when it
+    # was called.
+    K, M, N = 12, 4, 80
+    monkeypatch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", 5 * M * N)
+    problem = make_norm_opt(K, M, N, b=15.0, seed=2)
+    rng = np.random.default_rng(7)
+    steps = solver_mod._step_table(0.85, 50)
+    for _ in range(10):
+        x = rng.uniform(-1.5, 1.5, K)
+        d = rng.standard_normal(K) * 3.0
+        want = [b.tolist() for b in model_bounds(problem, x, d, steps)]
+        alphas = steps.copy()
+        chunks = problem.violations_along(x, d, problem.G(x), alphas)
+        got = [next(chunks)]
         alphas[:] = 1.0
+        got += chunks
+        assert [np.concatenate(b).tolist() for b in zip(*got)] == want
+
+
+def test_model_rejects_increasing_steps():
+    problem = make_norm_opt(5, 2, 30, b=10.0, seed=3)
+    x, d = np.full(5, 0.5), np.ones(5)
+    Z = problem.G(x)
+    for alphas in ([0.5, 1.0], [1.0, 0.25, 0.5], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="non-increasing"):
+            problem.violations_along(x, d, Z, np.array(alphas))
+    # equal steps in a row are allowed, and so is an empty table
+    assert len(model_bounds(problem, x, d, np.array([1.0, 0.5, 0.5]))[0]) == 3
+    assert list(problem.violations_along(x, d, Z, np.empty(0))) == []
 
 
 def test_stalled_search_evaluates_few_columns(monkeypatch):
-    # A stalled search asks the model for all 51 steps in four calls.
-    # Convexity settles most columns after the first call, so the calls
+    # A stalled search takes all 51 steps of the model in four chunks.
+    # Convexity settles most columns after the first chunk, so the chunks
     # evaluate far fewer than the 51 * N column-steps of the whole model.
     K, M, N, b, alpha = 20, 10, 2000, 25.0, 0.05
     problem = make_norm_opt(K, M, N, b=b, seed=0)
     s = math.ceil(alpha * N)
     config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=30)
-    chunk = solver_mod._MODEL_CHUNK_ENTRIES // (M * N)
     steps = solver_mod._step_table(config.pi, config.t_max)
     stalled = 0
     for x, d, s, gamma, pi, t_max, _ in recorded_searches(problem, config, monkeypatch):
@@ -240,14 +275,14 @@ def test_stalled_search_evaluates_few_columns(monkeypatch):
         if not feasibility_line_search(problem, x, d, s, gamma, pi, t_max, Z)[2]:
             continue
         stalled += 1
-        counts = problem.violations_along(x, d, Z)
-        evaluated = 0
-        for start in range(0, t_max + 1, chunk):
-            alphas = steps[start:start + chunk]
-            counts(alphas)
-            # the tops of the call, one row per step and one column per
+        chunks = problem.violations_along(x, d, Z, steps)
+        evaluated = taken = 0
+        for _ in chunks:
+            # the tops of the chunk, one row per step and one column per
             # column evaluated
-            evaluated += inspect.getclosurevars(counts).nonlocals["last"][1].size
+            evaluated += chunks.gi_frame.f_locals["top"].size
+            taken += 1
+        assert taken == 4
         assert evaluated < 0.5 * (t_max + 1) * N
     assert stalled
 
@@ -337,7 +372,7 @@ def test_model_reads_the_samples_in_place():
     Z = problem.G(x)
     tracemalloc.start()
     try:
-        assert problem.violations_along(x, d, Z) is not None
+        assert problem.violations_along(x, d, Z, solver_mod._step_table(0.85, 50)) is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -348,17 +383,18 @@ def test_model_gives_way_to_the_plain_loop_on_huge_directions():
     problem = make_norm_opt(5, 2, 30, b=10.0, seed=3)
     x = np.full(5, 0.5)
     Z = problem.G(x)
+    steps = solver_mod._step_table(0.85, 20)
     for d in (np.full(5, 1e200), np.array([np.nan, 0.0, 0.0, 0.0, 0.0])):
         counted, calls = counting(problem)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert problem.violations_along(x, d, Z) is None
+            assert problem.violations_along(x, d, Z, steps) is None
             got = feasibility_line_search(counted, x, d, 1, 0.5, 0.85, 20, Z=Z)
         # every trial point has a non-finite G and counts as rejected
         assert got == (20, 0.0, True)
         assert calls[0] == 21
     # G values near overflow: the model declines, though G is still finite
     huge = make_norm_opt(5, 2, 30, b=1e301, seed=3)
-    assert huge.violations_along(x, np.ones(5), huge.G(x)) is None
+    assert huge.violations_along(x, np.ones(5), huge.G(x), steps) is None
 
 
 def exp_problem():

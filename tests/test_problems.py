@@ -335,6 +335,11 @@ class TestSampleFiles:
 
 
 class TestDrawFamily:
+    @pytest.mark.parametrize("K,M", [(0, 1), (2, 0)])
+    def test_empty_dimensions_rejected(self, K, M):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            norm_opt_draw(K, M)
+
     def test_matches_instance_law(self):
         draw = norm_opt_draw(3, 2, b=10.0)
         rng = np.random.default_rng(77)

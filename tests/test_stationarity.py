@@ -362,6 +362,11 @@ class TestMaxStationaryTau:
         p = make_counterexample()
         assert max_stationary_tau(p, np.array([2.0, 5.0]), s=1) == float("inf")
 
+    def test_rank_tolerance_is_not_an_option(self):
+        p = make_counterexample()
+        with pytest.raises(TypeError):
+            max_stationary_tau(p, np.array([2.0, 5.0]), s=1, rank_tol=1e-8)
+
     def test_rank_deficiency_raises(self):
         # duplicate constraint rows make the active gradients rank deficient
         M, N = 2, 2
