@@ -127,7 +127,7 @@ class BipModel:
     big_M: np.ndarray
     xi_sq: np.ndarray
     seed: int | None = None
-    constraint_names: tuple[str, ...] = field(default=(), repr=False)
+    constraint_names: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         big_M = np.asarray(self.big_M, dtype=float)

@@ -152,11 +152,6 @@ def add_solver_flags(p: argparse.ArgumentParser):
     g.add_argument("--max-it", type=int, help="iteration cap")
     g.add_argument("--tol-scale", type=float,
                    help="stopping tolerance per unit of K*M*N")
-    g.add_argument("--rho", type=float, help="smoothing-residual ratio")
-    g.add_argument("--mu-bar", type=float, help="initial smoothing cap")
-    g.add_argument("--nu", type=float, help="smoothing decay")
-    g.add_argument("--pi", type=float, help="backtracking ratio")
-    g.add_argument("--t-max", type=int, help="largest backtrack exponent")
 
 
 def build_instance(args) -> ProblemInstance:

@@ -310,7 +310,7 @@ def fixed_point_check(Z, W, tau: float, s: int, tol: float = 0.0) -> bool:
     if k < s:
         return bool(np.linalg.norm(W) <= tol)
 
-    on_zero = np.isin(np.arange(Z.shape[1]), part.zero)
+    on_zero = part.col_max == 0.0
     if np.linalg.norm(W[:, ~on_zero]) > tol:
         return False
     Wz = W[:, on_zero]

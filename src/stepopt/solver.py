@@ -55,6 +55,16 @@ _getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.floa
 # the system's largest entry is not trusted; the fallback direction is used.
 _PIVOT_TOL = 1e-12
 
+# The smoothing weight starts at min(_MU_BAR, _RHO * ||F||) and then becomes
+# min(_NU * mu, _RHO * ||F||) after each iteration.
+_RHO = 1e-2
+_MU_BAR = 1e-2
+_NU = 0.999
+
+# The line search tries the steps _PI**t for t = 0, 1, ..., _T_MAX.
+_PI = 0.85
+_T_MAX = 50
+
 
 class SolverAbort(RuntimeError):
     """Raised when an iterate or evaluator stops producing finite numbers."""
@@ -78,23 +88,20 @@ def gamma_for(alpha: float, s: int) -> float:
 class SolverConfig:
     """Tuning knobs for :func:`solve`.
 
-    ``tol_scale`` is multiplied by K*M*N to form the stopping tolerance.
-    ``gamma`` is the relative slack of the line-search violation budget;
-    None selects 3/s.  ``pi`` is the backtracking ratio, ``t_max`` the
-    largest backtracking exponent, ``rho``/``mu_bar``/``nu`` control the
-    smoothing weight.
+    ``s`` is the violation budget and ``tau`` the step size of the
+    tau-stationarity the solve aims at.  ``tol_scale`` is multiplied by
+    K*M*N to form the stopping tolerance.  ``gamma`` is the relative slack
+    of the line-search violation budget; None selects 3/s.  The smoothing
+    schedule and the backtracking of the line search are fixed by the
+    method: the constants ``_RHO``, ``_MU_BAR``, ``_NU``, ``_PI`` and
+    ``_T_MAX`` of this module.
     """
 
     s: int
     tau: float = 0.75
     max_it: int = 2000
     tol_scale: float = 1e-9
-    rho: float = 1e-2
-    mu_bar: float = 1e-2
-    nu: float = 0.999
-    pi: float = 0.85
     gamma: Optional[float] = None
-    t_max: int = 50
 
     def __post_init__(self):
         if self.s < 1:
@@ -105,18 +112,8 @@ class SolverConfig:
             raise ValueError(f"max_it must be >= 0, got {self.max_it}")
         if not self.tol_scale > 0:
             raise ValueError(f"tol_scale must be positive, got {self.tol_scale}")
-        if not 0 < self.rho:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not 0 < self.mu_bar:
-            raise ValueError(f"mu_bar must be positive, got {self.mu_bar}")
-        if not 0 < self.nu < 1:
-            raise ValueError(f"nu must be in (0, 1), got {self.nu}")
-        if not 0 < self.pi < 1:
-            raise ValueError(f"pi must be in (0, 1), got {self.pi}")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.t_max < 0:
-            raise ValueError(f"t_max must be >= 0, got {self.t_max}")
 
 
 @dataclass(frozen=True)
@@ -340,7 +337,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         return Z, V, Gv, F, float(np.linalg.norm(F))
 
     Z, V, Gv, F, res = refresh(x, W)
-    mu = min(config.mu_bar, config.rho * res)
+    mu = min(_MU_BAR, _RHO * res)
 
     trace: list[IterationRecord] = []
     stall_streak = 0
@@ -370,7 +367,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             kind = "fallback"
 
         t, alpha, stalled = feasibility_line_search(
-            problem, x, d[:K], s, gamma, config.pi, config.t_max, Z,
+            problem, x, d[:K], s, gamma, _PI, _T_MAX, Z,
             full_step_first=full_step_first)
         stall_streak = stall_streak + 1 if stalled else 0
         full_step_first = alpha == 1.0
@@ -397,7 +394,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         else:
             F = None
         x = x_next
-        mu = min(config.nu * mu, config.rho * res)
+        mu = min(_NU * mu, _RHO * res)
         it += 1
 
     final_pt = PrimalDualPoint(x, W)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import _as_matrix, column_partition, is_candidate_set, step_norm, zero_mask
+from .geometry import _as_matrix, column_partition, is_candidate_set, zero_mask
 from .problems import ProblemInstance
 
 __all__ = [
@@ -270,7 +270,8 @@ def check_kkt(problem: ProblemInstance, x: np.ndarray, s: int,
     """
     x = np.asarray(x, dtype=float)
     Z = problem.G(x)
-    k = step_norm(Z)
+    part = column_partition(Z)
+    k = part.positive.size
     if k > s:
         return StationarityReport(kind="kkt", satisfied=False, residual=float("inf"),
                                   active=ActiveSet([], (problem.M, problem.N)),
@@ -280,7 +281,6 @@ def check_kkt(problem: ProblemInstance, x: np.ndarray, s: int,
         return StationarityReport(kind="kkt", satisfied=res <= tol, residual=res,
                                   active=ActiveSet([], (problem.M, problem.N)),
                                   witness_W=np.zeros((problem.M, problem.N)))
-    part = column_partition(Z)
     return _nnls_multiplier_check(problem, x, Z, part.zero, "kkt", tol)
 
 

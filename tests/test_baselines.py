@@ -119,6 +119,20 @@ def test_bip_smallest_instance():
     assert "Binary\n y1\nEnd" in text
 
 
+def test_bip_constraint_names_are_not_an_argument():
+    model = dict(K=1, M=1, N=1, s=0, b=1.0, big_M=[5.0], xi_sq=np.ones((1, 1, 1)))
+    with pytest.raises(TypeError):
+        BipModel(**model, constraint_names=("mine",))
+    built = BipModel(**model)
+    assert built.constraint_names == ("card", "g1_1")
+    assert built.to_lp() == "\n".join([
+        "\\ mixed-binary reformulation of the sampled norm-design program",
+        "\\ K=1 M=1 N=1 s=0 b=1.0",
+        "Minimize", " obj: - x1", "Subject To",
+        " card: y1 >= 1", " g1_1: [ 1.0 x1 ^2 ] + 5.0 y1 <= 6.0",
+        "Bounds", " x1 >= 0", "Binary", " y1", "End", ""])
+
+
 def test_bip_export_is_deterministic(tmp_path):
     instance = make_norm_opt(3, 1, 4, b=8.0, seed=9)
     p1, p2 = tmp_path / "a.lp", tmp_path / "b.lp"

@@ -1,26 +1,41 @@
-"""What the traced benchmark needs from ``stepopt.solver``.
+"""What the benchmark needs from the library.
 
 ``bench/tracing.py`` records the solver layers by replacing the functions
 named in ``SOLVER_SPANS`` as attributes of ``stepopt.solver`` for the
 length of a traced pass.  That works only while each name exists there and
 ``solve`` looks each one up as a module global at call time.
+
+``bench/workloads.py`` builds ``SolverConfig(s, gamma, max_it)``, reads
+``tol_scale`` and ``s`` back, and builds and reads ``ActiveSet`` pairs.
+One item of each kind of workload runs here through its run, check and
+summary hooks, so a library change that breaks them fails in tier-1, not
+only in the benchmark's own smoke test.
 """
 import importlib.util
+import json
 import math
+import sys
 from pathlib import Path
 
 import stepopt.solver
+from stepopt.geometry import step_norm
 from stepopt.problems import make_norm_opt
 from stepopt.solver import SolverConfig, gamma_for, solve
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered before it runs: its dataclasses look their module up there
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("tracing")
 
 
 def test_every_traced_name_is_a_function_of_the_solver_module():
@@ -56,3 +71,33 @@ def test_a_traced_solve_records_every_layer_and_gives_the_same_result():
     assert traced.point.x.tobytes() == plain.point.x.tobytes()
     assert traced.point.W.tobytes() == plain.point.W.tobytes()
     assert (traced.status, traced.trace) == (plain.status, plain.trace)
+
+
+def test_the_workloads_are_those_the_benchmark_declares():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert set(load_bench("workloads").WORKLOADS) == {w["name"] for w in declared}
+
+
+def test_a_paper_solve_runs_through_the_workload_hooks():
+    workloads = load_bench("workloads")
+    api = workloads.plain_api()
+    item = workloads._solve_item(make_norm_opt, 10, 1, 100, 14.0, 0.05, 17,
+                                 max_it=workloads.PAPER_MAX_IT)
+    assert item.config == SolverConfig(s=5, gamma=gamma_for(0.05, 5), max_it=workloads.PAPER_MAX_IT)
+    res = workloads.run_solve(item, api)
+    workloads.check_solve(item, res)
+    assert workloads.summary_solve(item, res) == workloads.summary_solve(
+        item, workloads.run_solve(item, api))
+    converged, budget_ok, _ = workloads.quality_solve(item, res)
+    assert converged == (res.status == "Converged")
+    assert budget_ok == (step_norm(item.problem.G(res.point.x)) <= item.config.s)
+
+
+def test_an_analysis_task_runs_through_the_workload_hooks(tmp_path):
+    workloads = load_bench("workloads")
+    analysis = workloads.WORKLOADS["analysis"]
+    api = workloads.plain_api()
+    task = analysis.build(4242, make_norm_opt, str(tmp_path / "model.lp"))[0]
+    out = analysis.run(task, api)
+    analysis.check(task, out)
+    assert analysis.summary(task, out) == analysis.summary(task, analysis.run(task, api))

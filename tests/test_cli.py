@@ -101,6 +101,17 @@ def test_missing_subcommand_exits_1(capsys):
     assert exc.value.code == 1
 
 
+# the smoothing schedule and the backtracking are constants of the solver
+@pytest.mark.parametrize("flag", ["--rho", "--mu-bar", "--nu", "--pi", "--t-max"])
+@pytest.mark.parametrize("command", [["solve"], ["bench", "--sweep", "K", "--values", "2"]],
+                         ids=["solve", "bench"])
+def test_solver_constants_are_not_flags(flag, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, flag, "0.5"])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- config
 
 def test_config_file_sets_defaults_and_flags_override(tmp_path, capsys):
@@ -126,6 +137,15 @@ def test_config_missing_file_exits_1(capsys):
     code, _, err = run(capsys, ["solve", "--config", "/nonexistent/run.cfg"])
     assert code == 1
     assert "error" in err
+
+
+def test_config_with_a_removed_knob_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("b=14.0\nt_max=10\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --t-max 10" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- check

@@ -268,7 +268,7 @@ def test_stalled_search_evaluates_few_columns(monkeypatch):
     problem = make_norm_opt(K, M, N, b=b, seed=0)
     s = math.ceil(alpha * N)
     config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=30)
-    steps = solver_mod._step_table(config.pi, config.t_max)
+    steps = solver_mod._step_table(solver_mod._PI, solver_mod._T_MAX)
     stalled = 0
     for x, d, s, gamma, pi, t_max, _ in recorded_searches(problem, config, monkeypatch):
         Z = problem.G(x)
