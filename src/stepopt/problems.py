@@ -1,9 +1,9 @@
 """Problem instances: objective and sampled constraint evaluators.
 
-An instance bundles callables for f, its derivatives, the M x N constraint
-value matrix G(x), and vectorized constraint derivatives: the gradient
-columns of a set of (m, n) entries and their weighted Hessian sum, which is
-all the solver's reduced Newton system and the multiplier checks read.
+An instance bundles callables for f and its gradient, the M x N constraint
+value matrix G(x), the gradient columns of a set of (m, n) entries of G,
+and the Hessian of the Lagrangian over that set, which is all the solver's
+reduced Newton system and the multiplier checks read.
 Batch evaluators of f and G over many points serve the grid search.  Two
 constructors are provided: the sampled norm-design benchmark (squared
 Gaussian data by default) and a fixed two-variable instance whose
@@ -17,7 +17,6 @@ smaller step.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -76,18 +75,18 @@ class ProblemInstance:
     ----------
     K, M, N : int
         Decision dimension, constraints per sample, sample count.
-    f, grad_f, hess_f : callable
-        Objective value (float), gradient (K,), Hessian (K, K) at x.
+    f, grad_f : callable
+        Objective value (float) and gradient (K,) at x.
     G : callable
         Constraint value matrix (M, N) at x.
     grad_G_cols : callable
         ``grad_G_cols(x, rows, cols)``: the gradients of the entries
         (rows[j], cols[j]) of G as the columns of a (K, L) matrix, for
         integer index arrays of length L.
-    weighted_hess_G : callable
-        ``weighted_hess_G(x, rows, cols, w)``: sum of w[j] times the
-        Hessian of entry (rows[j], cols[j]), a (K, K) matrix; zeros when
-        L = 0.
+    hess_lagrangian : callable
+        ``hess_lagrangian(x, rows, cols, w)``: the Hessian of f plus the
+        sum of w[j] times the Hessian of entry (rows[j], cols[j]), a
+        (K, K) matrix; the Hessian of f alone when L = 0.
     f_batch, G_batch : callable
         f and G at the rows of a (P, K) array: shapes (P,) and (P, M, N).
     violations_along : callable, optional
@@ -112,10 +111,9 @@ class ProblemInstance:
     N: int
     f: Callable[[np.ndarray], float]
     grad_f: Callable[[np.ndarray], np.ndarray]
-    hess_f: Callable[[np.ndarray], np.ndarray]
+    hess_lagrangian: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
     grad_G_cols: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    weighted_hess_G: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     f_batch: Callable[[np.ndarray], np.ndarray]
     G_batch: Callable[[np.ndarray], np.ndarray]
     violations_along: Optional[Callable] = None
@@ -199,15 +197,15 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         x = np.asarray(x, dtype=float)
         return 2.0 * lambda2 * x - 1.0 - lambda1 * (x < 0.0)
 
-    # one read-only matrix, made on the first call
-    @functools.cache
-    def hess():
-        out = 2.0 * lambda2 * np.eye(K)
-        out.flags.writeable = False
+    def hess_lagrangian(x, rows, cols, weights):
+        # diagonal: 2*lambda2 from f, plus 2*sum_j w[j]*xi_sq[n_j, m_j, :]
+        diag = 2.0 * lambda2
+        if len(weights):
+            diag = diag + 2.0 * (np.asarray(weights, dtype=float) @ xi_sq[cols, rows, :])
+        out = np.zeros((K, K))
+        # written through a strided view of the flat matrix
+        out.reshape(-1)[::K + 1] = diag
         return out
-
-    def hess_f(x):
-        return hess()
 
     def G(x):
         x = np.asarray(x, dtype=float)
@@ -216,13 +214,6 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
     def grad_G_cols(x, rows, cols):
         # columns of squared draws at the requested (m, n) pairs, times 2x
         return (2.0 * xi_sq[cols, rows, :] * np.asarray(x, dtype=float)).T
-
-    def weighted_hess_G(x, rows, cols, weights):
-        out = np.zeros((K, K))
-        if len(weights):
-            # the diagonal, written through a strided view of the flat matrix
-            out.reshape(-1)[::K + 1] = 2.0 * (np.asarray(weights, dtype=float) @ xi_sq[cols, rows, :])
-        return out
 
     def f_batch(X):
         X = np.asarray(X, dtype=float)
@@ -273,20 +264,16 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
             return None
         coef = np.empty((3, M, N))
         coef[0] = Z
-        # c1 and c2 from BLAS products that read the samples in place: one
-        # product when all rows fit one block, else one per row block, which
-        # stays in cache while it is read; row n*M + m lands at (m, n), so
-        # that the column maxima below run over whole rows of N entries
-        xd = np.array([2.0 * x * d, d * d]).T
-        if N * M <= block:
-            cd = xi_rows @ xd
-        else:
-            # C order: with the Fortran-ordered xd the blocks took as long
-            # as one product over all rows
-            xd = xd.copy()
-            cd = np.empty((N * M, 2))
-            for first in range(0, N * M, block):
-                np.dot(xi_rows[first:first + block], xd, out=cd[first:first + block])
+        # c1 and c2 from BLAS products that read the samples in place, one
+        # per row block, which stays in cache while it is read; row n*M + m
+        # lands at (m, n), so that the column maxima below run over whole
+        # rows of N entries.  xd is copied to C order: with the
+        # Fortran-ordered transpose the blocks took as long as one product
+        # over all rows.
+        xd = np.array([2.0 * x * d, d * d]).T.copy()
+        cd = np.empty((N * M, 2))
+        for first in range(0, N * M, block):
+            np.dot(xi_rows[first:first + block], xd, out=cd[first:first + block])
         coef[1:] = cd.reshape(N, M, 2).transpose(2, 1, 0)
         # column maxima of |Z|, |c1| and c2
         mag = np.abs(coef).max(axis=1)
@@ -346,8 +333,8 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
 
     return NormOptInstance(
         K=K, M=M, N=N,
-        f=f, grad_f=grad_f, hess_f=hess_f,
-        G=G, grad_G_cols=grad_G_cols, weighted_hess_G=weighted_hess_G,
+        f=f, grad_f=grad_f, hess_lagrangian=hess_lagrangian,
+        G=G, grad_G_cols=grad_G_cols,
         f_batch=f_batch, G_batch=G_batch, violations_along=violations_along,
         xi_sq=xi_sq, xi_signs=signs, xi_patch_at=patch_at, xi_patch_mag=patch_mag,
         b=float(b),
@@ -423,8 +410,12 @@ def make_counterexample() -> ProblemInstance:
     def grad_f(x):
         return np.array([2.0 * (x[0] - 2.0), 0.0])
 
-    def hess_f(x):
-        return np.array([[2.0, 0.0], [0.0, 0.0]])
+    def hess_lagrangian(x, rows, cols, w):
+        # f has Hessian diag(2, 0), and of G only the entry in column 0
+        # curves, also with Hessian diag(2, 0)
+        out = np.zeros((2, 2))
+        out[0, 0] = 2.0 + 2.0 * np.asarray(w, dtype=float)[np.asarray(cols) == 0].sum()
+        return out
 
     def G(x):
         return np.array([[x[0] ** 2 - x[1], x[1] - 1.0]])
@@ -433,12 +424,6 @@ def make_counterexample() -> ProblemInstance:
         # column n = 0: (2*x0, -1); column n = 1: (0, 1)
         first = np.asarray(cols) == 0
         return np.array([np.where(first, 2.0 * x[0], 0.0), np.where(first, -1.0, 1.0)])
-
-    def weighted_hess_G(x, rows, cols, w):
-        # only the entry in column 0 curves, with Hessian diag(2, 0)
-        out = np.zeros((2, 2))
-        out[0, 0] += 2.0 * np.asarray(w, dtype=float)[np.asarray(cols) == 0].sum()
-        return out
 
     def f_batch(X):
         X = np.asarray(X, dtype=float)
@@ -453,8 +438,8 @@ def make_counterexample() -> ProblemInstance:
 
     return ProblemInstance(
         K=2, M=1, N=2,
-        f=f, grad_f=grad_f, hess_f=hess_f,
-        G=G, grad_G_cols=grad_G_cols, weighted_hess_G=weighted_hess_G,
+        f=f, grad_f=grad_f, hess_lagrangian=hess_lagrangian,
+        G=G, grad_G_cols=grad_G_cols,
         f_batch=f_batch, G_batch=G_batch,
     )
 

@@ -84,7 +84,7 @@ def gamma_for(alpha: float, s: int) -> float:
     return a / s
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Tuning knobs for :func:`solve`.
 
@@ -94,7 +94,8 @@ class SolverConfig:
     of the line-search violation budget; None selects 3/s.  The smoothing
     schedule and the backtracking of the line search are fixed by the
     method: the constants ``_RHO``, ``_MU_BAR``, ``_NU``, ``_PI`` and
-    ``_T_MAX`` of this module.
+    ``_T_MAX`` of this module.  The config is frozen, so its fields keep
+    the values its checks accepted.
     """
 
     s: int
@@ -182,17 +183,14 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
     # [[theta, Gv], [Gv.T, -mu*I]], written in place; Fortran order lets
     # getrf factor it without copying
     A = np.empty((n, n), order="F")
+    A[:K, :K] = problem.hess_lagrangian(x, V.rows, V.cols, W[V.rows, V.cols])
     if L:
-        np.add(problem.hess_f(x), problem.weighted_hess_G(x, V.rows, V.cols, W[V.rows, V.cols]),
-               out=A[:K, :K])
         A[:K, K:] = Gv
         A[K:, :K] = Gv.T
         # off the diagonal, -mu * 0.0 is -0.0 as in -mu * eye(L); a +0.0
         # there can flip the sign of a zero in the solution
         A[K:, K:] = -mu * 0.0
         A.ravel(order="F")[K * (n + 1)::n + 1] = -mu
-    else:
-        A[:] = problem.hess_f(x)
     rhs = -F[:n]
     scale = np.abs(A).max()
     if not np.isfinite(scale) or scale == 0.0:

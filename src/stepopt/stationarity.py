@@ -226,14 +226,12 @@ def smoothed_jacobian(problem: ProblemInstance, point: PrimalDualPoint,
     Lbar = problem.M * problem.N - L
     n_tot = K + L + Lbar
     J = np.zeros((n_tot, n_tot))
-    theta = problem.hess_f(x).astype(float, copy=True)
+    J[:K, :K] = problem.hess_lagrangian(x, V.rows, V.cols, W[V.rows, V.cols])
     if L:
-        theta += problem.weighted_hess_G(x, V.rows, V.cols, W[V.rows, V.cols])
         Gv = problem.grad_G_cols(x, V.rows, V.cols)
         J[:K, K:K + L] = Gv
         J[K:K + L, :K] = Gv.T
         J[K:K + L, K:K + L] = -mu * np.eye(L)
-    J[:K, :K] = theta
     if Lbar:
         J[K + L:, K + L:] = np.eye(Lbar)
     return J

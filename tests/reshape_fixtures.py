@@ -3,7 +3,9 @@
 Several fixtures use G(x) = the column-major reshape of x into (M, N), plus
 an optional constant offset: entry (m, n) is x[n*M + m], so its gradient is
 a unit vector and its Hessian is zero, and constructed points can realize
-any target constraint matrix exactly.  Others use a constant G.
+any target constraint matrix exactly.  Others use a constant G.  Both
+families have zero constraint Hessians, so an instance's
+``hess_lagrangian`` is the Hessian of its objective alone.
 """
 import numpy as np
 
@@ -27,8 +29,7 @@ def reshape_constraints(M, N, offset=None):
         out[np.asarray(cols) * M + np.asarray(rows), np.arange(len(rows))] = 1.0
         return out
 
-    return dict(G=G, G_batch=G_batch, grad_G_cols=grad_G_cols,
-                weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)))
+    return dict(G=G, G_batch=G_batch, grad_G_cols=grad_G_cols)
 
 
 def constant_constraints(K, Z):
@@ -38,5 +39,4 @@ def constant_constraints(K, Z):
         G=lambda x: Z.copy(),
         G_batch=lambda X: np.broadcast_to(Z, (len(X),) + Z.shape).copy(),
         grad_G_cols=lambda x, rows, cols: np.zeros((K, len(rows))),
-        weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)),
     )

@@ -80,7 +80,7 @@ def reshape_problem(M, N, c):
         K=K, M=M, N=N,
         f=lambda x: float(0.5 * x @ x + c @ x),
         grad_f=lambda x: x + c,
-        hess_f=lambda x: np.eye(K),
+        hess_lagrangian=lambda x, rows, cols, w: np.eye(K),
         f_batch=lambda X: 0.5 * (X * X).sum(axis=1) + X @ c,
         **reshape_constraints(M, N),
     )

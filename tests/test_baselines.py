@@ -24,7 +24,7 @@ def box_problem(target):
         K=K, M=1, N=2,
         f=lambda x: float(np.sum((x - target) ** 2)),
         grad_f=lambda x: 2.0 * (x - target),
-        hess_f=lambda x: 2.0 * np.eye(K),
+        hess_lagrangian=lambda x, rows, cols, w: 2.0 * np.eye(K),
         f_batch=lambda X: np.sum((X - target) ** 2, axis=1),
         **constant_constraints(K, -np.ones((1, 2))),
     )
@@ -35,7 +35,7 @@ def infeasible_problem():
         K=2, M=1, N=2,
         f=lambda x: float(x @ x),
         grad_f=lambda x: 2.0 * x,
-        hess_f=lambda x: 2.0 * np.eye(2),
+        hess_lagrangian=lambda x, rows, cols, w: 2.0 * np.eye(2),
         f_batch=lambda X: (X * X).sum(axis=1),
         **constant_constraints(2, np.ones((1, 2))),
     )

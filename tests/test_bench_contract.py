@@ -5,21 +5,28 @@ named in ``SOLVER_SPANS`` as attributes of ``stepopt.solver`` for the
 length of a traced pass.  That works only while each name exists there and
 ``solve`` looks each one up as a module global at call time.
 
+Its ``Recorder.problem`` traces ``G`` and ``G_batch`` by rebuilding an
+instance through ``dataclasses.replace``, which passes every field of
+``ProblemInstance`` back to its constructor.
+
 ``bench/workloads.py`` builds ``SolverConfig(s, gamma, max_it)``, reads
 ``tol_scale`` and ``s`` back, and builds and reads ``ActiveSet`` pairs.
 One item of each kind of workload runs here through its run, check and
 summary hooks, so a library change that breaks them fails in tier-1, not
 only in the benchmark's own smoke test.
 """
+import dataclasses
 import importlib.util
 import json
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import stepopt.solver
 from stepopt.geometry import step_norm
-from stepopt.problems import make_norm_opt
+from stepopt.problems import make_counterexample, make_norm_opt
 from stepopt.solver import SolverConfig, gamma_for, solve
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +78,26 @@ def test_a_traced_solve_records_every_layer_and_gives_the_same_result():
     assert traced.point.x.tobytes() == plain.point.x.tobytes()
     assert traced.point.W.tobytes() == plain.point.W.tobytes()
     assert (traced.status, traced.trace) == (plain.status, plain.trace)
+
+
+def test_a_traced_problem_gives_the_same_values_and_one_span_per_call():
+    rng = np.random.default_rng(3)
+    for plain in (make_norm_opt(6, 2, 9, b=14.0, seed=5), make_counterexample()):
+        rec = load_tracing().Recorder()
+        traced = rec.problem(plain)
+        assert type(traced) is type(plain)
+        assert rec.problem(plain) is traced
+        # every field but the two traced ones is carried over as it was
+        for field in dataclasses.fields(plain):
+            if field.name not in ("G", "G_batch"):
+                assert getattr(traced, field.name) is getattr(plain, field.name), field.name
+        X = rng.uniform(-2.0, 2.0, size=(3, plain.K))
+        for x in X:
+            assert traced.G(x).tobytes() == plain.G(x).tobytes()
+        assert traced.G_batch(X).tobytes() == plain.G_batch(X).tobytes()
+        summary = rec.summary()
+        assert (summary.calls["problems.G"], summary.calls["problems.G_batch"]) == (len(X), 1)
+        assert len(rec.spans) == len(X) + 1
 
 
 def test_the_workloads_are_those_the_benchmark_declares():

@@ -32,15 +32,15 @@ def reference(problem, point, V, mu, pivot_tol=1e-12, Z=None):
         Z = problem.G(x)
     g = problem.grad_f(x).astype(float, copy=True)
     L = len(V)
+    w_v = W[V.rows, V.cols]
+    theta = problem.hess_lagrangian(x, V.rows, V.cols, w_v)
     if L:
         Gv = problem.grad_G_cols(x, V.rows, V.cols)
-        w_v = W[V.rows, V.cols]
         g += Gv @ w_v
-        theta = problem.hess_f(x) + problem.weighted_hess_G(x, V.rows, V.cols, w_v)
         A = np.block([[theta, Gv], [Gv.T, -mu * np.eye(L)]])
         rhs = -np.concatenate([g, Z[V.rows, V.cols]])
     else:
-        A = problem.hess_f(x).astype(float, copy=True)
+        A = theta
         rhs = -g
     scale = np.abs(A).max()
     if not np.isfinite(scale) or scale == 0.0:
@@ -179,12 +179,11 @@ def constant_problem(theta, Gv, g, Z):
         K=K, M=1, N=Z.shape[1],
         f=lambda x: float(g @ x + 0.5 * x @ theta @ x),
         grad_f=lambda x: g.copy(),
-        hess_f=lambda x: theta.copy(),
+        hess_lagrangian=lambda x, rows, cols, w: theta.copy(),
         f_batch=lambda X: X @ g + 0.5 * np.einsum("pi,ij,pj->p", X, theta, X),
         G=lambda x: Z.copy(),
         G_batch=lambda X: np.broadcast_to(Z, (len(X),) + Z.shape).copy(),
         grad_G_cols=lambda x, rows, cols: Gv[:, cols],
-        weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)),
     )
 
 

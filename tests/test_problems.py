@@ -42,9 +42,12 @@ def gradient_columns_fd(p, x, rows, cols):
     return fd_jacobian(lambda y: p.G(y)[rows, cols], x).T
 
 
-def weighted_hessian_fd(p, x, rows, cols, w):
-    """Hessian of sum_j w[j] * G[rows[j], cols[j]], differencing grad_G_cols."""
-    return fd_jacobian(lambda y: p.grad_G_cols(y, rows, cols) @ w, x)
+def lagrangian_hessian_fd(p, x, rows, cols, w):
+    """Hessian of f + sum_j w[j] * G[rows[j], cols[j]], differencing its gradient."""
+    return fd_jacobian(lambda y: p.grad_f(y) + p.grad_G_cols(y, rows, cols) @ w, x)
+
+
+NO_ENTRIES = np.array([], dtype=np.intp)
 
 
 def sample_point(rng, K):
@@ -63,7 +66,7 @@ class TestNormOpt:
         x = np.ones(4)
         assert p.G(x).shape == (3, 6)
         assert p.grad_f(x).shape == (4,)
-        assert p.hess_f(x).shape == (4, 4)
+        assert p.hess_lagrangian(x, NO_ENTRIES, NO_ENTRIES, np.array([])).shape == (4, 4)
 
     def test_objective_at_ones(self):
         # at x = 1: quadratic term 0.5*K, hinge 0, linear -K
@@ -91,16 +94,18 @@ class TestNormOpt:
         rng = np.random.default_rng(12)
         p = make_norm_opt(4, 2, 5, seed=4)
         x = sample_point(rng, 4)
-        for rows, cols, w in (([0], [0], [1.0]), ([1], [2], [1.0]),
+        for rows, cols, w in (([], [], []), ([0], [0], [1.0]), ([1], [2], [1.0]),
                               ([0, 1, 1], [0, 2, 4], rng.uniform(-1.0, 2.0, size=3))):
-            rows, cols, w = np.array(rows), np.array(cols), np.array(w)
-            np.testing.assert_allclose(p.weighted_hess_G(x, rows, cols, w),
-                                       weighted_hessian_fd(p, x, rows, cols, w),
+            rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+            w = np.array(w, dtype=float)
+            np.testing.assert_allclose(p.hess_lagrangian(x, rows, cols, w),
+                                       lagrangian_hessian_fd(p, x, rows, cols, w),
                                        rtol=1e-5, atol=1e-5)
 
     def test_vectorized_hooks_match_loops(self):
         # against a loop over the closed forms 2*xi_sq[n, m]*x and
-        # diag(2*xi_sq[n, m]) of each entry's gradient and Hessian
+        # diag(2*xi_sq[n, m]) of each entry's gradient and Hessian, and
+        # 2*lambda2*I of the objective's
         rng = np.random.default_rng(13)
         p = make_norm_opt(5, 3, 7, seed=5)
         x = sample_point(rng, 5)
@@ -109,16 +114,27 @@ class TestNormOpt:
         w = rng.uniform(0.0, 2.0, size=4)
         loop_g = np.column_stack([2.0 * p.xi_sq[n, m] * x for m, n in zip(rows, cols)])
         np.testing.assert_allclose(p.grad_G_cols(x, rows, cols), loop_g, atol=1e-14)
-        loop_h = sum(wi * np.diag(2.0 * p.xi_sq[n, m]) for wi, m, n in zip(w, rows, cols))
-        np.testing.assert_allclose(p.weighted_hess_G(x, rows, cols, w), loop_h, atol=1e-13)
-        # bit for bit the diagonal matrix of the weighted sum of the rows
-        want = np.diag(2.0 * (w @ p.xi_sq[cols, rows, :]))
-        assert p.weighted_hess_G(x, rows, cols, w).tobytes() == want.tobytes()
-        # no entries: an empty (K, 0) block and a zero Hessian
-        none = np.array([], dtype=np.intp)
-        assert p.grad_G_cols(x, none, none).shape == (5, 0)
-        np.testing.assert_array_equal(p.weighted_hess_G(x, none, none, np.array([])),
-                                      np.zeros((5, 5)))
+        loop_h = 2.0 * p.lambda2 * np.eye(5) + sum(
+            wi * np.diag(2.0 * p.xi_sq[n, m]) for wi, m, n in zip(w, rows, cols))
+        np.testing.assert_allclose(p.hess_lagrangian(x, rows, cols, w), loop_h, atol=1e-13)
+        # no entries: an empty (K, 0) block
+        assert p.grad_G_cols(x, NO_ENTRIES, NO_ENTRIES).shape == (5, 0)
+
+    def test_hess_lagrangian_is_the_closed_form_bit_for_bit(self):
+        # 2*lambda2 on the diagonal plus the weighted sum of the squared
+        # draws, summed in that order, and +0.0 off it
+        rng = np.random.default_rng(16)
+        for K, M, N, lambda2 in ((5, 3, 7, 0.5), (4, 1, 9, 0.3), (1, 2, 3, 1.7)):
+            p = make_norm_opt(K, M, N, lambda2=lambda2, seed=K + N)
+            x = sample_point(rng, K)
+            for L in (0, 1, 4, M * N):
+                flat = rng.choice(M * N, size=L, replace=False)
+                rows, cols = flat % M, flat // M
+                w = rng.uniform(0.0, 2.0, size=L)
+                want = 2 * lambda2 * np.eye(K) + np.diag(2 * (w @ p.xi_sq[cols, rows, :]))
+                got = p.hess_lagrangian(x, rows, cols, w)
+                assert got.shape == (K, K)
+                assert got.tobytes() == want.tobytes(), (K, L)
 
     def test_batch_hooks_match_loops(self):
         rng = np.random.default_rng(14)
@@ -141,13 +157,6 @@ class TestNormOpt:
             make_norm_opt(0, 1, 1)
         with pytest.raises(ValueError):
             make_norm_opt(1, 1, 1, b=-5.0)
-
-    def test_hess_f_is_one_read_only_matrix(self):
-        p = make_norm_opt(4, 2, 3, lambda2=0.3, seed=1)
-        H = p.hess_f(np.ones(4))
-        np.testing.assert_array_equal(H, 2.0 * 0.3 * np.eye(4))
-        assert not H.flags.writeable
-        assert p.hess_f(np.zeros(4)) is H
 
 
 # the largest magnitude whose square is finite; a larger draw is rejected
@@ -261,8 +270,19 @@ class TestCounterexample:
                 np.testing.assert_allclose(p.grad_G_cols(x, rows, cols),
                                            gradient_columns_fd(p, x, rows, cols), atol=1e-6)
                 w = rng.uniform(-1.0, 2.0, size=len(cols))
-                np.testing.assert_allclose(p.weighted_hess_G(x, rows, cols, w),
-                                           weighted_hessian_fd(p, x, rows, cols, w), atol=1e-6)
+                np.testing.assert_allclose(p.hess_lagrangian(x, rows, cols, w),
+                                           lagrangian_hessian_fd(p, x, rows, cols, w), atol=1e-6)
+
+    def test_hess_lagrangian_is_the_closed_form_bit_for_bit(self):
+        p = make_counterexample()
+        rng = np.random.default_rng(17)
+        x = np.array([1.0, 1.0])
+        for cols in ([], [0], [1], [0, 1], [1, 0], [0, 0, 1]):
+            cols = np.array(cols, dtype=np.intp)
+            rows = np.zeros(len(cols), dtype=np.intp)
+            w = rng.uniform(-1.0, 2.0, size=len(cols))
+            want = np.array([[2 + 2 * w[cols == 0].sum(), 0.0], [0.0, 0.0]])
+            assert p.hess_lagrangian(x, rows, cols, w).tobytes() == want.tobytes(), cols
 
 
 def instance_fields(p):
@@ -273,7 +293,7 @@ class TestContract:
     def test_missing_evaluator_raises_type_error(self):
         fields = instance_fields(make_counterexample())
         ProblemInstance(**fields)
-        for name in ("grad_G_cols", "weighted_hess_G", "f_batch", "G_batch"):
+        for name in ("grad_G_cols", "hess_lagrangian", "f_batch", "G_batch"):
             with pytest.raises(TypeError, match=name):
                 ProblemInstance(**{k: v for k, v in fields.items() if k != name})
         # the line-search model is the one optional evaluator
@@ -288,6 +308,12 @@ class TestContract:
                       hess_G=lambda x, m, n: np.zeros((2, 2)))
         with pytest.raises(TypeError, match="grad_G"):
             ProblemInstance(**scalar)
+
+    def test_separate_hessian_callbacks_are_rejected(self):
+        fields = instance_fields(make_counterexample())
+        for name in ("hess_f", "weighted_hess_G"):
+            with pytest.raises(TypeError, match=name):
+                ProblemInstance(**fields, **{name: lambda *args: np.zeros((2, 2))})
 
 
 class TestSampleFiles:

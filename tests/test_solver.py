@@ -47,7 +47,7 @@ def quad_problem(M, N, c, offset):
         K=K, M=M, N=N,
         f=lambda x: float(0.5 * x @ x + c @ x),
         grad_f=lambda x: x + c,
-        hess_f=lambda x: np.eye(K),
+        hess_lagrangian=lambda x, rows, cols, w: np.eye(K),
         f_batch=lambda X: 0.5 * (X * X).sum(axis=1) + X @ c,
         **reshape_constraints(M, N, offset),
     )
@@ -61,7 +61,7 @@ def flat_problem(M, N, c, offset):
         K=K, M=M, N=N,
         f=lambda x: float(c @ x),
         grad_f=lambda x: c.copy(),
-        hess_f=lambda x: np.zeros((K, K)),
+        hess_lagrangian=lambda x, rows, cols, w: np.zeros((K, K)),
         f_batch=lambda X: X @ c,
         **reshape_constraints(M, N, offset),
     )
@@ -76,7 +76,7 @@ def slack_problem(target, M=1, N=2):
         K=K, M=M, N=N,
         f=lambda x: float(0.5 * np.sum((x - target) ** 2)),
         grad_f=lambda x: x - target,
-        hess_f=lambda x: np.eye(K),
+        hess_lagrangian=lambda x, rows, cols, w: np.eye(K),
         f_batch=lambda X: 0.5 * np.sum((X - target) ** 2, axis=1),
         **constant_constraints(K, -np.ones((M, N))),
     )
@@ -137,6 +137,17 @@ def test_config_defaults():
             SolverConfig(s=5, **{name: 0.5})
     assert (solver_mod._RHO, solver_mod._MU_BAR, solver_mod._NU) == (1e-2, 1e-2, 0.999)
     assert (solver_mod._PI, solver_mod._T_MAX) == (0.85, 50)
+
+
+def test_config_is_frozen():
+    # an assignment would skip the checks of __post_init__
+    cfg = SolverConfig(s=5)
+    for name, value in (("tau", -1.0), ("max_it", -3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert (cfg.tau, cfg.max_it) == (0.75, 2000)
+    assert cfg == SolverConfig(s=5)
+    assert SolverConfig(s=5, gamma=0.6) == SolverConfig(s=5, gamma=0.6) != cfg
 
 
 # --------------------------------------------------- select_candidate_columns
@@ -416,12 +427,11 @@ def test_zero_step_that_flips_a_zero_of_x_refreshes():
         K=K, M=M, N=N,
         f=lambda x: float(0.5 * np.sum((x - target) ** 2)),
         grad_f=lambda x: x - target,
-        hess_f=lambda x: np.eye(K),
+        hess_lagrangian=lambda x, rows, cols, w: np.eye(K),
         f_batch=lambda X: 0.5 * np.sum((X - target) ** 2, axis=1),
         G=G,
         G_batch=lambda X: np.stack([G(x) for x in X]),
         grad_G_cols=lambda x, rows, cols: np.zeros((K, len(rows))),
-        weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)),
     )
     cfg = SolverConfig(s=1, gamma=0.5)
     res = solve(problem, cfg, start=PrimalDualPoint(np.array([-0.0, 0.0]), np.zeros((M, N))))

@@ -34,7 +34,7 @@ def linear_problem(M, N, c, offset=None):
     return ProblemInstance(K=K, M=M, N=N,
                            f=lambda x: float(c @ x),
                            grad_f=lambda x: c.copy(),
-                           hess_f=lambda x: np.zeros((K, K)),
+                           hess_lagrangian=lambda x, rows, cols, w: np.zeros((K, K)),
                            f_batch=lambda X: X @ c,
                            **reshape_constraints(M, N, offset))
 
@@ -150,12 +150,11 @@ def fit_problem(A, b):
         K=K, M=1, N=n + 1,
         f=lambda x: float(-b @ x),
         grad_f=lambda x: -b,
-        hess_f=lambda x: np.zeros((K, K)),
+        hess_lagrangian=lambda x, rows, cols, w: np.zeros((K, K)),
         f_batch=lambda X: -(X @ b),
         G=lambda x: Z.copy(),
         G_batch=lambda X: np.broadcast_to(Z, (len(X), 1, n + 1)).copy(),
         grad_G_cols=lambda x, rows, cols: grads[:, cols],
-        weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)),
     )
 
 
@@ -385,11 +384,10 @@ class TestMaxStationaryTau:
         p = ProblemInstance(K=K, M=M, N=N,
                             f=lambda x: float(x[0]),
                             grad_f=lambda x: np.array([1.0, 0.0, 0.0, 0.0]),
-                            hess_f=lambda x: np.zeros((K, K)),
+                            hess_lagrangian=lambda x, rows, cols, w: np.zeros((K, K)),
                             f_batch=lambda X: X[:, 0].copy(),
                             G=lambda x: G_batch(np.asarray(x)[None])[0],
-                            G_batch=G_batch, grad_G_cols=grad_G_cols,
-                            weighted_hess_G=lambda x, rows, cols, w: np.zeros((K, K)))
+                            G_batch=G_batch, grad_G_cols=grad_G_cols)
         x = np.zeros(K)
         x[1] = 1.5  # second column violates, first is zero-max: budget tight
         with pytest.raises(ValueError, match="rank deficient"):
