@@ -112,8 +112,21 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def add_tau_flag(p, default=argparse.SUPPRESS):
-    p.add_argument("--tau", type=float, default=default, help="step size of the check")
+def _float_where(holds, what):
+    """Flag type: a float for which ``holds`` is true, else a usage error
+    naming the flag."""
+    def parse(text):
+        value = float(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in its other errors
+    return parse
+
+
+def add_tau_flag(p, default=argparse.SUPPRESS, type=float):
+    p.add_argument("--tau", type=type, default=default, help="step size of the check")
 
 
 def add_instance_flags(p: argparse.ArgumentParser, with_preset: bool = True):
@@ -403,8 +416,10 @@ def build_parser() -> CliParser:
     add_instance_flags(p)
     p.add_argument("--point", required=True, metavar="FILE",
                    help="x on the first line; optional multiplier rows after")
-    add_tau_flag(p, default=SolverConfig.tau)
-    p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance")
+    add_tau_flag(p, default=SolverConfig.tau,
+                 type=_float_where(lambda v: 0 < v < math.inf, "positive and finite"))
+    p.add_argument("--tol", type=_float_where(lambda v: v >= 0, ">= 0"), default=1e-9,
+                   help="verdict tolerance")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bounds", help="evaluate the sample-size formulas",

@@ -14,7 +14,6 @@ next chunk only when the ones before leave the step undecided.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,9 +60,12 @@ _RHO = 1e-2
 _MU_BAR = 1e-2
 _NU = 0.999
 
-# The line search tries the steps _PI**t for t = 0, 1, ..., _T_MAX.
+# The line search tries the read-only steps _STEPS: 1, _PI, _PI*_PI, ...,
+# _T_MAX + 1 of them, each the previous one times _PI.
 _PI = 0.85
 _T_MAX = 50
+_STEPS = np.cumprod(np.r_[1.0, np.full(_T_MAX, _PI)])
+_STEPS.flags.writeable = False
 
 
 class SolverAbort(RuntimeError):
@@ -167,14 +169,14 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
                      Gv: Optional[np.ndarray]) -> tuple[Optional[np.ndarray], bool]:
     """Newton step on the smoothed system, reduced to K + |V| unknowns.
 
-    The complement block of the Jacobian is the identity, so its component
-    of the direction is just the negated multiplier values; the remaining
-    square system couples x with the multipliers on V.  Both the system's
-    right-hand side and the complement block are read from ``F``, the
-    stacked residual at (point, V).  ``Gv`` is the gradient columns of V
-    at x, None when V is empty.  Returns (direction, True) in block order
-    [x; W on V; W off V], or (None, False) when the LU factorization shows
-    a pivot below ``_PIVOT_TOL`` times the largest entry of the system.
+    The complement block of the Jacobian is the identity, so the step of
+    the multipliers off V is their negation, which the caller applies; the
+    square system solved here couples x with the multipliers on V.  Its
+    right-hand side is the head ``F[:K + |V|]`` of the stacked residual at
+    (point, V).  ``Gv`` is the gradient columns of V at x, None when V is
+    empty.  Returns (direction, True), the K + |V| entries [x; W on V], or
+    (None, False) when the LU factorization shows a pivot below
+    ``_PIVOT_TOL`` times the largest entry of the system.
     """
     x, W = point.x, point.W
     K = problem.K
@@ -206,22 +208,26 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
         raise ValueError(f"illegal value in argument {-info} of getrs")
     if not np.isfinite(head).all():
         return None, False
-    return np.concatenate([head, -F[n:]]), True
+    return head, True
 
 
 def fallback_direction(F: np.ndarray) -> np.ndarray:
-    """Steepest residual-descent surrogate: the negated stacked residual ``F``."""
+    """Steepest residual-descent surrogate: the negated residual ``F``.
+
+    ``solve`` passes the head ``F[:K + |V|]``, so the direction has the
+    entries of a Newton direction.
+    """
     return -F
 
 
 def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.ndarray,
-                            s: int, gamma: float, pi: float, t_max: int, Z: np.ndarray,
+                            s: int, gamma: float, Z: np.ndarray,
                             full_step_first: bool = False) -> tuple[int, float, bool]:
     """Smallest backtracking exponent keeping violations within (gamma+1)*s.
 
-    Returns (t, alpha, stalled) where alpha is 1.0 multiplied by pi t times
-    in turn; when no exponent up to t_max satisfies the bound, the step is
-    zero with stalled=True so the iterate never leaves the relaxed budget
+    Returns (t, alpha, stalled) where alpha is the trial step ``_STEPS[t]``;
+    when no exponent up to ``_T_MAX`` satisfies the bound, the step is zero
+    with stalled=True so the iterate never leaves the relaxed budget
     region.  A trial point whose G is not finite counts as outside it.
 
     A problem with a ``violations_along`` hook bounds the violation count
@@ -245,17 +251,17 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         # step_norm, without its second finiteness pass
         return bool(np.isfinite(Zt).all()) and np.count_nonzero(Zt.max(axis=0) > 0.0) <= bound
 
-    steps = _step_table(float(pi), int(t_max))
+    steps = _STEPS
     start = 0
     if full_step_first:
         if within(1.0):
             return 0, 1.0, False
         start = 1
     chunks = None
-    if problem.violations_along is not None and start <= t_max:
+    if problem.violations_along is not None:
         chunks = problem.violations_along(x, d_x, Z, steps[start:])
     if chunks is None:
-        n = t_max + 1 - start
+        n = steps.size - start
         chunks = [(np.zeros(n, dtype=np.intp), np.full(n, np.inf))]
     for lo, hi in chunks:
         # the first step the bounds accept, and before it, in order, the
@@ -268,19 +274,7 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         if sure.size:
             return start + stop, float(steps[start + stop]), False
         start += lo.size
-    return t_max, 0.0, True
-
-
-@functools.lru_cache(maxsize=16)
-def _step_table(pi: float, t_max: int) -> np.ndarray:
-    """The read-only trial steps 1, pi, pi*pi, ..., t_max + 1 of them, each
-    the previous one times pi."""
-    steps = [1.0]
-    for _ in range(t_max):
-        steps.append(steps[-1] * pi)
-    out = np.array(steps)
-    out.flags.writeable = False
-    return out
+    return steps.size - 1, 0.0, True
 
 
 def solve(problem: ProblemInstance, config: SolverConfig,
@@ -300,8 +294,10 @@ def solve(problem: ProblemInstance, config: SolverConfig,
     columns and the residual norm of the previous iterate stand, and only
     the stacked residual is rebuilt, when another iteration needs it.  The
     Newton and fallback directions read that residual rather than
-    assembling it again.  The multipliers are updated with one dense add
-    of the step put back into matrix form (:meth:`ActiveSet.unstack`).
+    assembling it again, and both have the K + |V| entries [x; W on V].
+    The identity block of the Jacobian gives the multipliers off V the
+    step -W, so the multiplier update is one dense add of alpha times -W
+    with the direction written in on V.
     """
     s, tau = config.s, config.tau
     gamma = config.gamma if config.gamma is not None else 3.0 / s
@@ -361,12 +357,11 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         if solvable:
             kind = "newton"
         else:
-            d = fallback_direction(F)
+            d = fallback_direction(F[:K + len(V)])
             kind = "fallback"
 
         t, alpha, stalled = feasibility_line_search(
-            problem, x, d[:K], s, gamma, _PI, _T_MAX, Z,
-            full_step_first=full_step_first)
+            problem, x, d[:K], s, gamma, Z, full_step_first=full_step_first)
         stall_streak = stall_streak + 1 if stalled else 0
         full_step_first = alpha == 1.0
 
@@ -378,7 +373,9 @@ def solve(problem: ProblemInstance, config: SolverConfig,
 
         x_next = x + alpha * d[:K]
         # one add per entry of W, on V and off it alike
-        W += alpha * V.unstack(d[K:])
+        dW = np.negative(W)
+        dW[V.rows, V.cols] = d[K:]
+        W += alpha * dW
         if not (np.isfinite(x_next).all() and np.isfinite(W).all()):
             raise SolverAbort(f"non-finite iterate at iteration {it}")
 

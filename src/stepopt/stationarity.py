@@ -64,8 +64,7 @@ class ActiveSet:
     the column-major flattening ``W.T.ravel()``; ``pairs`` gives the same
     positions as a tuple of (row, col) int pairs.  The entries of a matrix
     off the set are ``np.delete(W.T.ravel(), V.flat)``, in the order of
-    ``complement()``; ``off`` is the read-only mask that selects them,
-    ``W.T.ravel()[V.off]``, built on first use and kept.
+    ``complement()``.
     """
 
     def __init__(self, pairs, shape):
@@ -103,22 +102,12 @@ class ActiveSet:
         self.shape = (int(M), int(N))
         self._pairs = None
         self._complement = None
-        self._off = None
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         if self._pairs is None:
             self._pairs = tuple(zip(self.rows.tolist(), self.cols.tolist()))
         return self._pairs
-
-    @property
-    def off(self) -> np.ndarray:
-        if self._off is None:
-            off = np.ones(self.shape[0] * self.shape[1], dtype=bool)
-            off[self.flat] = False
-            off.flags.writeable = False
-            self._off = off
-        return self._off
 
     def mask(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=bool)
@@ -133,20 +122,6 @@ class ActiveSet:
             ns.flags.writeable = False
             self._complement = (ms, ns)
         return self._complement
-
-    def unstack(self, v: np.ndarray) -> np.ndarray:
-        """The (M, N) matrix whose entries on the set, then off it, are ``v``.
-
-        The inverse of stacking ``W[V.rows, V.cols]`` on
-        ``np.delete(W.T.ravel(), V.flat)``, the order of the multiplier
-        blocks of the stationarity residual; the result is a transposed
-        view of a new array.
-        """
-        M, N = self.shape
-        out = np.empty(M * N, dtype=v.dtype)
-        out[self.flat] = v[:len(self)]
-        out[self.off] = v[len(self):]
-        return out.reshape(N, M).T
 
     def __len__(self):
         return self.rows.size
@@ -210,7 +185,9 @@ def stationarity_residual(problem: ProblemInstance, point: PrimalDualPoint,
         if Gv is None:
             Gv = problem.grad_G_cols(x, V.rows, V.cols)
         g += Gv @ W[V.rows, V.cols]
-    return np.concatenate([g, Z[V.rows, V.cols], W.T.ravel()[V.off]])
+    off = np.ones(W.size, dtype=bool)
+    off[V.flat] = False
+    return np.concatenate([g, Z[V.rows, V.cols], W.T.ravel()[off]])
 
 
 def smoothed_jacobian(problem: ProblemInstance, point: PrimalDualPoint,
@@ -356,12 +333,13 @@ def max_stationary_tau(problem: ProblemInstance, x: np.ndarray, s: int,
                        ztol: float = 0.0) -> float:
     """Largest step size keeping a multiplier-stationary point projection-stationary.
 
-    Solves the square gradient system on the active positions (which must
-    have full column rank), takes the largest multiplier column norm over
-    the zero-max columns, and divides the s-th largest positive-part norm of
-    G(x) by it.  Returns inf when the point is strictly inside the budget or
-    the multipliers vanish on the zero-max columns.  ``ztol`` classifies
-    near-zero constraint values as active, for numerically converged input.
+    Solves the gradient system on the active positions, which must have
+    full column rank (so no more positions than unknowns), takes the
+    largest multiplier column norm over the zero-max columns, and divides
+    the s-th largest positive-part norm of G(x) by it.  Returns inf when
+    the point is strictly inside the budget or the multipliers vanish on
+    the zero-max columns.  ``ztol`` classifies near-zero constraint values
+    as active, for numerically converged input.
     """
     x = np.asarray(x, dtype=float)
     Z = problem.G(x)
@@ -374,11 +352,12 @@ def max_stationary_tau(problem: ProblemInstance, x: np.ndarray, s: int,
     V = ActiveSet.from_mask(zero_mask(Z, part.zero, ztol))
     if len(V) == 0:
         return float("inf")
-    A = problem.grad_G_cols(x, V.rows, V.cols)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= _RANK_TOL * sv[0]:
+    coef, _, _, sv = np.linalg.lstsq(problem.grad_G_cols(x, V.rows, V.cols),
+                                     -problem.grad_f(x), rcond=None)
+    # min(K, |V|) singular values: fewer than |V| leave the multipliers
+    # undetermined
+    if sv.size < len(V) or sv[-1] <= _RANK_TOL * sv[0]:
         raise ValueError("active constraint gradients are rank deficient")
-    coef, *_ = np.linalg.lstsq(A, -problem.grad_f(x), rcond=None)
     W = np.zeros((problem.M, problem.N))
     W[V.rows, V.cols] = coef
     r_star = float(np.linalg.norm(W[:, part.zero], axis=0).max()) if part.zero.size else 0.0

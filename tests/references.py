@@ -107,6 +107,15 @@ def norm_opt_draw(K, M, b=100.0):
     return draw
 
 
+def steps(pi, t_max):
+    """The trial steps 1, pi, pi*pi, ..., t_max + 1 of them, each the
+    previous one times pi."""
+    out = [1.0]
+    for _ in range(t_max):
+        out.append(out[-1] * pi)
+    return out
+
+
 def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first):
     """(t, alpha, stalled) of the backtracking search one trial step at a time.
 
@@ -121,9 +130,7 @@ def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first):
         Zt = problem.G(x + alpha * d_x)
         return bool(np.isfinite(Zt).all()) and np.count_nonzero(Zt.max(axis=0) > 0.0) <= bound
 
-    steps = [1.0]
-    for _ in range(t_max):
-        steps.append(steps[-1] * pi)
+    alphas = steps(pi, t_max)
     first = 0
     if full_step_first:
         if within(1.0):
@@ -131,7 +138,7 @@ def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first):
         first = 1
     chunks = None
     if problem.violations_along is not None and first <= t_max:
-        chunks = problem.violations_along(x, d_x, Z, np.array(steps[first:]))
+        chunks = problem.violations_along(x, d_x, Z, np.array(alphas[first:]))
 
     def bounds():
         if chunks is None:
@@ -139,10 +146,29 @@ def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first):
         for lo, hi in chunks:
             yield from zip(lo.tolist(), hi.tolist())
 
-    for t, alpha, (lo, hi) in zip(range(first, t_max + 1), steps[first:], bounds()):
+    for t, alpha, (lo, hi) in zip(range(first, t_max + 1), alphas[first:], bounds()):
         if hi <= bound or (lo <= bound and within(alpha)):
             return t, alpha, False
     return t_max, 0.0, True
+
+
+def stacked_update(W, V, d_w, alpha):
+    """W plus alpha times the multiplier step of a stacked direction.
+
+    The step is [d_w on V; -W off V], the multiplier blocks of a direction
+    of K + M*N entries, put back into (M, N) form through the column-major
+    positions of V and of the rest, and added to a copy of W in one pass.
+    """
+    M, N = V.shape
+    off = np.ones(M * N, dtype=bool)
+    off[V.flat] = False
+    stacked = np.concatenate([d_w, -W.T.ravel()[off]])
+    step = np.empty(M * N)
+    step[V.flat] = stacked[:len(V)]
+    step[off] = stacked[len(V):]
+    out = W.copy()
+    out += alpha * step.reshape(N, M).T
+    return out
 
 
 def check_tau_stationary(problem, point, tau, s, tol, ztol):

@@ -175,6 +175,35 @@ def test_check_accepts_solver_output(tmp_path, capsys):
     assert "tau-stationary (tau=0.75): satisfied" in out
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--tau", "0"], "argument --tau: must be positive and finite, got 0"),
+    (["--tau", "-0.5"], "argument --tau: must be positive and finite, got -0.5"),
+    (["--tau", "nan"], "argument --tau: must be positive and finite, got nan"),
+    (["--tau", "inf"], "argument --tau: must be positive and finite, got inf"),
+    (["--tol=-1e-9"], "argument --tol: must be >= 0, got -1e-9"),
+    (["--tol", "nan"], "argument --tol: must be >= 0, got nan"),
+])
+def test_check_rejects_bad_tau_and_tol_before_any_output(flags, message, tmp_path, capsys):
+    # the verdicts would come first and then the library's own error, which
+    # for --tol names ztol, a flag the command does not have, and for an
+    # infinite --tau blames the constraint values
+    pt = tmp_path / "pt.txt"
+    pt.write_text("1.0 1.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--preset", "sec4-3", "--point", str(pt), "--s", "1", *flags])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "ztol" not in err
+
+
+def test_check_accepts_a_zero_tol(tmp_path, capsys):
+    pt = tmp_path / "pt.txt"
+    pt.write_text("1.0 1.0\n")
+    code, out, _ = run(capsys, ["check", "--preset", "sec4-3", "--point", str(pt),
+                                "--s", "1", "--tol", "0", "--tau", "1e-300"])
+    assert code == 0 and "tau-stationary (tau=1e-300, " in out
+
+
 def test_check_rejects_wrong_point_length(tmp_path, capsys):
     pt = tmp_path / "pt.txt"
     pt.write_text("1.0 2.0 3.0\n")

@@ -48,12 +48,20 @@ def counting(problem):
     return dataclasses.replace(problem, G=counted), calls
 
 
-def both(problem, x, d, s, gamma, pi, t_max=50, full_step_first=False):
+def schedule(monkeypatch, pi, t_max):
+    """Make the search try the steps 1, pi, pi*pi, ..., t_max + 1 of them."""
+    steps = np.array(references.steps(pi, t_max))
+    steps.flags.writeable = False
+    monkeypatch.setattr(solver_mod, "_STEPS", steps)
+    return steps
+
+
+def both(problem, x, d, s, gamma, full_step_first=False):
     """(model result, plain-loop result) of one search."""
     Z = problem.G(x)
-    got = feasibility_line_search(problem, x, d, s, gamma, pi, t_max, Z=Z,
+    got = feasibility_line_search(problem, x, d, s, gamma, Z=Z,
                                   full_step_first=full_step_first)
-    want = feasibility_line_search(exact(problem), x, d, s, gamma, pi, t_max, Z)
+    want = feasibility_line_search(exact(problem), x, d, s, gamma, Z)
     return got, want
 
 
@@ -62,9 +70,9 @@ def recorded_searches(problem, config, monkeypatch):
     calls = []
     plain = solver_mod.feasibility_line_search
 
-    def recorder(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first=False):
-        calls.append((x.copy(), d_x.copy(), s, gamma, pi, t_max, full_step_first))
-        return plain(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first=full_step_first)
+    def recorder(problem, x, d_x, s, gamma, Z, full_step_first=False):
+        calls.append((x.copy(), d_x.copy(), s, gamma, full_step_first))
+        return plain(problem, x, d_x, s, gamma, Z, full_step_first=full_step_first)
 
     monkeypatch.setattr(solver_mod, "feasibility_line_search", recorder)
     solve(problem, config)
@@ -132,7 +140,8 @@ def test_wide_solve_evaluates_G_once_per_iterate():
 
 
 @pytest.mark.parametrize("pi,t_max", [(0.85, 50), (0.5, 10), (0.95, 3), (0.85, 1), (0.85, 0)])
-def test_model_matches_plain_loop_on_random_directions(pi, t_max):
+def test_model_matches_plain_loop_on_random_directions(pi, t_max, monkeypatch):
+    schedule(monkeypatch, pi, t_max)
     rng = np.random.default_rng(11)
     for seed in range(4):
         problem = make_norm_opt(8, 3, 60, b=12.0, seed=seed)
@@ -141,7 +150,7 @@ def test_model_matches_plain_loop_on_random_directions(pi, t_max):
             d = rng.standard_normal(8) * rng.choice([0.1, 1.0, 10.0])
             s = int(rng.integers(1, 10))
             for full_step_first in (False, True):
-                got, want = both(problem, x, d, s, 0.5, pi, t_max, full_step_first)
+                got, want = both(problem, x, d, s, 0.5, full_step_first)
                 assert got == want
 
 
@@ -158,17 +167,18 @@ def test_chunked_decision_matches_the_step_loop(K, M, N, b, alpha, per_chunk, mo
         problem = make_norm_opt(K, M, N, b=b, seed=seed)
         searches = recorded_searches(problem, config, monkeypatch)
         monkeypatch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", per_chunk * M * N)
-        for x, d, s, gamma, pi, t_max, first in searches:
+        for x, d, s, gamma, first in searches:
             Z = problem.G(x)
-            steps = solver_mod._step_table(pi, t_max)[first:]
+            steps = solver_mod._STEPS[first:]
             sizes = [lo.size for lo, _ in problem.violations_along(x, d, Z, steps)]
             assert sizes == [len(steps[i:i + per_chunk]) for i in range(0, steps.size, per_chunk)]
             for hook in (problem, exact(problem)):
                 counted, calls = counting(hook)
-                got = feasibility_line_search(counted, x, d, s, gamma, pi, t_max, Z=Z,
+                got = feasibility_line_search(counted, x, d, s, gamma, Z=Z,
                                               full_step_first=first)
                 ref, ref_calls = counting(hook)
-                want = references.line_search(ref, x, d, s, gamma, pi, t_max, Z, first)
+                want = references.line_search(ref, x, d, s, gamma, solver_mod._PI,
+                                              solver_mod._T_MAX, Z, first)
                 assert got == want and calls[0] == ref_calls[0]
             # with the model, steps first..t took (t - first) // per_chunk + 1 chunks
             spanning += want[0] - first >= per_chunk
@@ -215,7 +225,7 @@ def test_model_bounds_hold_in_every_chunk(shape, seed, point, scale, b, chunk):
     rng = np.random.default_rng(point)
     x = rng.uniform(-1.5, 1.5, BLOCK_K)
     d = rng.standard_normal(BLOCK_K) * scale
-    steps = solver_mod._step_table(0.85, 50)
+    steps = solver_mod._STEPS
     done = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", chunk * M * N)
@@ -235,7 +245,7 @@ def test_model_keeps_its_own_copy_of_the_steps(monkeypatch):
     monkeypatch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", 5 * M * N)
     problem = make_norm_opt(K, M, N, b=15.0, seed=2)
     rng = np.random.default_rng(7)
-    steps = solver_mod._step_table(0.85, 50)
+    steps = solver_mod._STEPS
     for _ in range(10):
         x = rng.uniform(-1.5, 1.5, K)
         d = rng.standard_normal(K) * 3.0
@@ -268,11 +278,11 @@ def test_stalled_search_evaluates_few_columns(monkeypatch):
     problem = make_norm_opt(K, M, N, b=b, seed=0)
     s = math.ceil(alpha * N)
     config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=30)
-    steps = solver_mod._step_table(solver_mod._PI, solver_mod._T_MAX)
+    steps = solver_mod._STEPS
     stalled = 0
-    for x, d, s, gamma, pi, t_max, _ in recorded_searches(problem, config, monkeypatch):
+    for x, d, s, gamma, _ in recorded_searches(problem, config, monkeypatch):
         Z = problem.G(x)
-        if not feasibility_line_search(problem, x, d, s, gamma, pi, t_max, Z)[2]:
+        if not feasibility_line_search(problem, x, d, s, gamma, Z)[2]:
             continue
         stalled += 1
         chunks = problem.violations_along(x, d, Z, steps)
@@ -283,7 +293,7 @@ def test_stalled_search_evaluates_few_columns(monkeypatch):
             evaluated += chunks.gi_frame.f_locals["top"].size
             taken += 1
         assert taken == 4
-        assert evaluated < 0.5 * (t_max + 1) * N
+        assert evaluated < 0.5 * steps.size * N
     assert stalled
 
 
@@ -307,37 +317,38 @@ def landing_on_zero(tmp_path, step):
     return problem, calls, x, d
 
 
-def test_column_landing_exactly_on_zero_is_decided_by_G(tmp_path):
+def test_column_landing_exactly_on_zero_is_decided_by_G(tmp_path, monkeypatch):
     # Both columns land on zero at the fourth step, 1/8.  With room for one
     # violating column, the model rejects 1, 1/2 and 1/4 on its own and
     # leaves 1/8 to G, which accepts it.
+    schedule(monkeypatch, 0.5, 50)
     problem, calls, x, d = landing_on_zero(tmp_path, 0.125)
     Z = problem.G(x)
 
     calls[0] = 0
-    got = feasibility_line_search(problem, x, d, s=1, gamma=0.5, pi=0.5, t_max=50, Z=Z)
+    got = feasibility_line_search(problem, x, d, s=1, gamma=0.5, Z=Z)
     assert got == (3, 0.125, False)
     assert calls[0] == 1          # the undecided step
     calls[0] = 0
-    assert feasibility_line_search(problem, x, d, s=1, gamma=0.5, pi=0.5, t_max=50, Z=Z,
+    assert feasibility_line_search(problem, x, d, s=1, gamma=0.5, Z=Z,
                                    full_step_first=True) == got
     assert calls[0] == 2          # the full step and the undecided one
 
     plain, plain_calls = counting(exact(problem))
-    assert feasibility_line_search(plain, x, d, s=1, gamma=0.5, pi=0.5, t_max=50, Z=Z) == got
+    assert feasibility_line_search(plain, x, d, s=1, gamma=0.5, Z=Z) == got
     assert plain_calls[0] == 4
 
 
-def test_model_decides_the_full_step(tmp_path):
+def test_model_decides_the_full_step(tmp_path, monkeypatch):
     problem, calls = counting(make_norm_opt(8, 3, 60, b=12.0, seed=0))
     x = np.full(8, 0.1)
     Z = problem.G(x)
 
     def search(d, **kw):
         calls[0] = 0
-        got = feasibility_line_search(problem, x, d, 1, 0.5, 0.85, 50, Z, **kw)
+        got = feasibility_line_search(problem, x, d, 1, 0.5, Z, **kw)
         made = calls[0]
-        assert got == feasibility_line_search(exact(problem), x, d, 1, 0.5, 0.85, 50, Z)
+        assert got == feasibility_line_search(exact(problem), x, d, 1, 0.5, Z)
         return got, made
 
     # the model accepts the full step: no G call, one when G goes first
@@ -352,11 +363,12 @@ def test_model_decides_the_full_step(tmp_path):
     assert search(long, full_step_first=True)[1] == 1
 
     # the bounds straddle the cap at the full step, which G then accepts
+    schedule(monkeypatch, 0.5, 50)
     problem, calls, x, d = landing_on_zero(tmp_path, 1.0)
     Z = problem.G(x)
     for full_step_first in (False, True):
         calls[0] = 0
-        assert feasibility_line_search(problem, x, d, s=1, gamma=0.5, pi=0.5, t_max=50, Z=Z,
+        assert feasibility_line_search(problem, x, d, s=1, gamma=0.5, Z=Z,
                                        full_step_first=full_step_first) == (0, 1.0, False)
         assert calls[0] == 1
 
@@ -372,23 +384,23 @@ def test_model_reads_the_samples_in_place():
     Z = problem.G(x)
     tracemalloc.start()
     try:
-        assert problem.violations_along(x, d, Z, solver_mod._step_table(0.85, 50)) is not None
+        assert problem.violations_along(x, d, Z, solver_mod._STEPS) is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < problem.xi_sq.nbytes // 4
 
 
-def test_model_gives_way_to_the_plain_loop_on_huge_directions():
+def test_model_gives_way_to_the_plain_loop_on_huge_directions(monkeypatch):
     problem = make_norm_opt(5, 2, 30, b=10.0, seed=3)
     x = np.full(5, 0.5)
     Z = problem.G(x)
-    steps = solver_mod._step_table(0.85, 20)
+    steps = schedule(monkeypatch, 0.85, 20)
     for d in (np.full(5, 1e200), np.array([np.nan, 0.0, 0.0, 0.0, 0.0])):
         counted, calls = counting(problem)
         with np.errstate(over="ignore", invalid="ignore"):
             assert problem.violations_along(x, d, Z, steps) is None
-            got = feasibility_line_search(counted, x, d, 1, 0.5, 0.85, 20, Z=Z)
+            got = feasibility_line_search(counted, x, d, 1, 0.5, Z=Z)
         # every trial point has a non-finite G and counts as rejected
         assert got == (20, 0.0, True)
         assert calls[0] == 21
@@ -416,8 +428,7 @@ def test_nonfinite_trial_point_counts_as_rejected():
     with np.errstate(over="ignore"):
         # the full step lands on x0 = 1000, where G is -inf
         assert feasibility_line_search(problem, np.zeros(1), np.array([1000.0]),
-                                       s=1, gamma=3.0, pi=0.85, t_max=50,
-                                       Z=problem.G(np.zeros(1))) == (3, 0.85 * 0.85 * 0.85, False)
+                                       s=1, gamma=3.0, Z=problem.G(np.zeros(1))) == (3, 0.85 * 0.85 * 0.85, False)
         res = solve(problem, SolverConfig(s=1))
     assert res.status == "LineSearchStalled"
     assert np.all(np.isfinite(res.point.x)) and res.point.x[0] < 710.0

@@ -53,8 +53,7 @@ def reference(problem, point, V, mu, pivot_tol=1e-12, Z=None):
     head = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
     if not np.all(np.isfinite(head)):
         return None, False
-    crows, ccols = V.complement()
-    return np.concatenate([head, -W[crows, ccols]]), True
+    return head, True
 
 
 def strict(problem, point, V, mu, Z=None, F=None):

@@ -1,9 +1,13 @@
 """Solver unit tests: candidate columns, directions, line search, full runs."""
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import stepopt.geometry
 import stepopt.solver as solver_mod
@@ -36,6 +40,7 @@ from stepopt.stationarity import (
     stationarity_residual,
 )
 
+import references
 from reshape_fixtures import constant_constraints, reshape_constraints
 
 
@@ -137,6 +142,12 @@ def test_config_defaults():
             SolverConfig(s=5, **{name: 0.5})
     assert (solver_mod._RHO, solver_mod._MU_BAR, solver_mod._NU) == (1e-2, 1e-2, 0.999)
     assert (solver_mod._PI, solver_mod._T_MAX) == (0.85, 50)
+    # one read-only schedule of trial steps, each the previous one times _PI
+    steps = solver_mod._STEPS
+    assert not steps.flags.writeable
+    assert steps.tobytes() == np.array(references.steps(0.85, 50)).tobytes()
+    assert list(inspect.signature(feasibility_line_search).parameters) == [
+        "problem", "x", "d_x", "s", "gamma", "Z", "full_step_first"]
 
 
 def test_config_is_frozen():
@@ -179,12 +190,15 @@ def test_newton_matches_dense_jacobian_solve():
     mu = 7e-3
     F = stationarity_residual(problem, pt, V)
     d, ok = newton_direction(problem, pt, V, mu, F, problem.grad_G_cols(pt.x, V.rows, V.cols))
-    assert ok
+    assert ok and d.shape == (problem.K + len(V),)
     J = smoothed_jacobian(problem, pt, V, mu)
-    assert np.allclose(d, np.linalg.solve(J, -F), rtol=0, atol=1e-11)
+    full = np.linalg.solve(J, -F)
+    assert np.allclose(d, full[:problem.K + len(V)], rtol=0, atol=1e-11)
 
+    # the identity block of the Jacobian steps the multipliers off V by
+    # -W, which solve applies in place of a longer direction
     crows, ccols = V.complement()
-    assert np.array_equal(d[problem.K + len(V):], -pt.W[crows, ccols])
+    assert np.array_equal(full[problem.K + len(V):], -pt.W[crows, ccols])
 
 
 def test_newton_with_empty_active_set_is_plain_newton_on_f():
@@ -197,9 +211,9 @@ def test_newton_with_empty_active_set_is_plain_newton_on_f():
 
     d, ok = newton_direction(problem, pt, V, 1e-2, stationarity_residual(problem, pt, V), None)
     assert ok
-    # hessian is the identity, so the head is just the negated gradient
-    assert np.allclose(d[:4], -(x + c), rtol=0, atol=1e-14)
-    assert np.array_equal(d[4:], np.zeros(4))
+    # hessian is the identity, so the direction is just the negated gradient
+    assert d.shape == (4,)
+    assert np.allclose(d, -(x + c), rtol=0, atol=1e-14)
 
 
 def test_newton_flags_singular_system():
@@ -217,22 +231,27 @@ def test_newton_flags_singular_system():
 
 # --------------------------------------------------- feasibility_line_search
 
-def test_line_search_finds_minimal_exponent():
+def halving(monkeypatch, t_max):
+    """Make the line search try the steps 1, 1/2, 1/4, ..., t_max + 1 of them."""
+    monkeypatch.setattr(solver_mod, "_STEPS", np.array(references.steps(0.5, t_max)))
+
+
+def test_line_search_finds_minimal_exponent(monkeypatch):
+    halving(monkeypatch, 10)
     problem = quad_problem(1, 3, np.zeros(3), [[-1.0, -1.0, 0.5]])
     x = np.zeros(3)
     d_x = np.array([2.0, 0.0, 0.0])
     # full step makes column 0 violate on top of column 2; half step parks
     # column 0 exactly at zero, which does not count
     t, alpha, stalled = feasibility_line_search(
-        problem, x, d_x, s=1, gamma=0.4, pi=0.5, t_max=10, Z=problem.G(x))
+        problem, x, d_x, s=1, gamma=0.4, Z=problem.G(x))
     assert (t, alpha, stalled) == (1, 0.5, False)
 
 
 def test_line_search_accepts_zero_exponent_within_budget():
     problem = quad_problem(1, 3, np.zeros(3), [[-1.0, -1.0, 0.5]])
     t, alpha, stalled = feasibility_line_search(
-        problem, np.zeros(3), np.zeros(3), s=1, gamma=0.4, pi=0.5, t_max=10,
-        Z=problem.G(np.zeros(3)))
+        problem, np.zeros(3), np.zeros(3), s=1, gamma=0.4, Z=problem.G(np.zeros(3)))
     assert (t, alpha, stalled) == (0, 1.0, False)
 
 
@@ -240,17 +259,20 @@ def test_line_search_accepts_exactly_at_the_bound():
     problem = quad_problem(1, 3, np.zeros(3), [[0.5, 0.5, -1.0]])
     # two violating columns, bound (1 + 1) * 1 = 2: boundary counts as inside
     t, alpha, stalled = feasibility_line_search(
-        problem, np.zeros(3), np.zeros(3), s=1, gamma=1.0, pi=0.5, t_max=10,
-        Z=problem.G(np.zeros(3)))
+        problem, np.zeros(3), np.zeros(3), s=1, gamma=1.0, Z=problem.G(np.zeros(3)))
     assert (t, alpha, stalled) == (0, 1.0, False)
 
 
-def test_line_search_returns_zero_step_when_exhausted():
+def test_line_search_returns_zero_step_when_exhausted(monkeypatch):
     problem = quad_problem(1, 3, np.zeros(3), [[0.5, 0.5, 0.5]])
-    t, alpha, stalled = feasibility_line_search(
-        problem, np.zeros(3), np.zeros(3), s=1, gamma=0.4, pi=0.5, t_max=5,
-        Z=problem.G(np.zeros(3)))
-    assert (t, alpha, stalled) == (5, 0.0, True)
+
+    def search():
+        return feasibility_line_search(problem, np.zeros(3), np.zeros(3), s=1, gamma=0.4,
+                                       Z=problem.G(np.zeros(3)))
+
+    assert search() == (50, 0.0, True)
+    halving(monkeypatch, 5)
+    assert search() == (5, 0.0, True)
 
 
 # -------------------------------------------------------------------- solve
@@ -322,6 +344,56 @@ def test_solve_uses_fallback_when_curvature_vanishes():
     assert all(rec.direction_kind == "fallback" for rec in res.trace)
     # constant gradient: the residual never moves
     assert res.final_residual == pytest.approx(np.hypot(1.0, 0.5))
+
+
+# finite values with both signed zeros, so that a sign flip shows in the bytes
+VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_multiplier_update_matches_the_stacked_update(M, N, data):
+    # solve steps the multipliers on V by the direction and those off V by
+    # -W, in place; the stacked direction of K + M*N entries gave the same
+    # bytes, for Newton and fallback directions and for zero steps alike
+    K = M * N
+    problem = quad_problem(M, N, data.draw(arrays(float, K, elements=VALUES)),
+                           data.draw(arrays(float, (M, N), elements=VALUES)))
+    start = PrimalDualPoint(data.draw(arrays(float, K, elements=VALUES)),
+                            data.draw(arrays(float, (M, N), elements=VALUES)))
+    alpha = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    refuse = data.draw(st.booleans())
+    plain_newton, plain_fallback = solver_mod.newton_direction, solver_mod.fallback_direction
+    seen = {}
+
+    def newton(problem, point, V, mu, F, Gv):
+        seen.update(x=point.x.copy(), W=point.W.copy(), V=V, F=F.copy())
+        seen["d"], solvable = (None, False) if refuse else plain_newton(problem, point, V,
+                                                                         mu, F, Gv)
+        return seen["d"], solvable
+
+    def fallback(F):
+        seen["d"] = plain_fallback(F)
+        return seen["d"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "newton_direction", newton)
+        patch.setattr(solver_mod, "fallback_direction", fallback)
+        patch.setattr(solver_mod, "feasibility_line_search",
+                      lambda problem, x, d_x, s, gamma, Z, full_step_first=False: (0, alpha, False))
+        res = solve(problem, SolverConfig(s=1, max_it=1), start)
+    if not seen:  # converged at the start
+        return
+    x, W, V, F, d = (seen[key] for key in ("x", "W", "V", "F", "d"))
+    assert d.shape == (K + len(V),)
+    if refuse:
+        assert bits(d) == bits(-F[:K + len(V)])
+    assert bits(res.point.W) == bits(references.stacked_update(W, V, d[K:], alpha))
+    assert bits(res.point.x) == bits(x + alpha * d[:K])
 
 
 def test_solve_max_iterations_budget():

@@ -392,3 +392,27 @@ class TestMaxStationaryTau:
         x[1] = 1.5  # second column violates, first is zero-max: budget tight
         with pytest.raises(ValueError, match="rank deficient"):
             max_stationary_tau(p, x, s=1)
+
+    def test_more_active_positions_than_unknowns_raise(self):
+        # K = 1 and a zero-max column with two zero entries: two multipliers
+        # on one gradient equation have infinitely many solutions, although
+        # the one singular value of the 1 x 2 gradient matrix is far from 0
+        def G_batch(X):
+            t = X[:, 0] - 1.0
+            one = np.ones_like(t)
+            return np.stack([np.stack([one, t], axis=1), np.stack([-one, 2.0 * t], axis=1)],
+                            axis=1)
+
+        p = ProblemInstance(K=1, M=2, N=2,
+                            f=lambda x: float(x[0]),
+                            grad_f=lambda x: np.array([1.0]),
+                            hess_lagrangian=lambda x, rows, cols, w: np.zeros((1, 1)),
+                            f_batch=lambda X: X[:, 0].copy(),
+                            G=lambda x: G_batch(np.asarray(x)[None])[0],
+                            G_batch=G_batch,
+                            grad_G_cols=lambda x, rows, cols: (rows + 1.0)[None, :] * (cols == 1))
+        x = np.array([1.0])
+        assert p.G(x).tolist() == [[1.0, 0.0], [-1.0, 0.0]]
+        assert p.grad_G_cols(x, np.array([0, 1]), np.array([1, 1])).tolist() == [[1.0, 2.0]]
+        with pytest.raises(ValueError, match="rank deficient"):
+            max_stationary_tau(p, x, s=1)
