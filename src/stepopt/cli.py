@@ -125,8 +125,13 @@ def _float_where(holds, what):
     return parse
 
 
-def add_tau_flag(p, default=argparse.SUPPRESS, type=float):
-    p.add_argument("--tau", type=type, default=default, help="step size of the check")
+# the type of the flags for tau, gamma and tol_scale
+_positive_finite = _float_where(lambda v: 0 < v < math.inf, "positive and finite")
+
+
+def add_tau_flag(p, default=argparse.SUPPRESS):
+    p.add_argument("--tau", type=_positive_finite, default=default,
+                   help="step size of the check")
 
 
 def add_instance_flags(p: argparse.ArgumentParser, with_preset: bool = True):
@@ -160,10 +165,10 @@ def add_solver_flags(p: argparse.ArgumentParser):
                    help="flat key=value defaults; explicit flags override")
     g = p.add_argument_group("solver", argument_default=argparse.SUPPRESS)
     add_tau_flag(g)
-    g.add_argument("--gamma", type=float,
+    g.add_argument("--gamma", type=_positive_finite,
                    help="line-search slack (default a/s with a set by alpha)")
     g.add_argument("--max-it", type=int, help="iteration cap")
-    g.add_argument("--tol-scale", type=float,
+    g.add_argument("--tol-scale", type=_positive_finite,
                    help="stopping tolerance per unit of K*M*N")
 
 
@@ -179,6 +184,8 @@ def build_instance(args) -> ProblemInstance:
 def resolve_budget(args, problem: ProblemInstance) -> int:
     if hasattr(args, "s"):
         return args.s
+    if not 0 < args.alpha < 1:
+        raise ValueError(f"--alpha must be in (0, 1), got {args.alpha}")
     return math.ceil(args.alpha * problem.N)
 
 
@@ -416,8 +423,7 @@ def build_parser() -> CliParser:
     add_instance_flags(p)
     p.add_argument("--point", required=True, metavar="FILE",
                    help="x on the first line; optional multiplier rows after")
-    add_tau_flag(p, default=SolverConfig.tau,
-                 type=_float_where(lambda v: 0 < v < math.inf, "positive and finite"))
+    add_tau_flag(p, default=SolverConfig.tau)
     p.add_argument("--tol", type=_float_where(lambda v: v >= 0, ">= 0"), default=1e-9,
                    help="verdict tolerance")
     p.set_defaults(func=cmd_check)

@@ -9,11 +9,13 @@ constructors are provided: the sampled norm-design benchmark (squared
 Gaussian data by default) and a fixed two-variable instance whose
 binary-style optimality conditions hold at a point that is not a local
 minimizer.  The norm-design instance also models G along a search ray, so
-the solver's line search can count violations without evaluating G: the
-model reads the samples once, in row blocks that stay in cache, yields its
-bounds a chunk of steps at a time, largest steps first, and leaves out of
-each later chunk the columns that convexity shows cannot violate at any
-smaller step.
+the solver's line search can count violations without evaluating G.  On
+samples larger than one row block a per-column envelope, which reads no
+samples, clears most columns at most steps, and the exact model reads only
+the columns it cannot clear, adding more, smallest threshold first, only
+while the search's cap leaves a step open.  The model decides the steps a
+chunk at a time, largest first, and stops after the chunk that holds the
+first step its bounds accept.
 """
 from __future__ import annotations
 
@@ -46,6 +48,15 @@ _SAFE_VAL = 1e300
 # keeps a margin below overflow.
 _EXACT_LO = 2.0 ** -511
 _EXACT_HI = 2.0 ** 511
+# Smallest positive subnormal double, the absolute rounding unit of the
+# envelope of the violation model.
+_SUBNORMAL = 2.0 ** -1074
+# The envelope (_clear_steps) runs only on instances whose weights are at
+# most _ENV_HI and b at least _ENV_LO^2, and for directions with ||d||_inf
+# at least _ENV_LO.  The weights are floored at _ENV_LO, which only lowers
+# its thresholds.
+_ENV_LO = 2.0 ** -256
+_ENV_HI = 2.0 ** 400
 # the empty patch (positions, magnitudes), shared by the instances that need none
 _NO_PATCH = (np.empty(0, dtype=np.intp), np.empty(0))
 # the norm-design defaults of make_norm_opt, load_samples and norm_opt_draw
@@ -61,10 +72,12 @@ _DRAW_CHUNK_ENTRIES = 1 << 17
 # ms with blocks of 32-128 KiB, 3.7 ms at 256 KiB and 3.8-3.9 ms at 512
 # KiB-2 MiB (one BLAS thread, 2-vCPU Xeon, 2 MiB of L2 per core).
 _MODEL_BLOCK_BYTES = 1 << 18
-# The model yields its bounds for about this many entries of G at a time:
-# every trial step at once on small problems, a few at a time on large
-# ones, so its temporaries stay a few times this size.
-_MODEL_CHUNK_ENTRIES = 1 << 18
+# The model evaluates about this many entries of G at a time, so that its
+# temporaries stay a few times this size: every trial step at once on small
+# problems, a few at a time on large ones.  It decides the steps in chunks
+# of that size, in order, and stops after the chunk that holds the first
+# step its bounds accept.
+_MODEL_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -90,20 +103,21 @@ class ProblemInstance:
     f_batch, G_batch : callable
         f and G at the rows of a (P, K) array: shapes (P,) and (P, M, N).
     violations_along : callable, optional
-        ``violations_along(x, d, Z, alphas)``, with ``Z = G(x)``, models G
-        along the ray x + a*d at the non-increasing step sizes ``alphas``
-        in [0, 1], and raises ValueError if a step is larger than the one
-        before it.  It returns None when it cannot, or an iterator that
-        yields, for consecutive chunks of ``alphas`` in order, integer
-        arrays (lo, hi) with ``lo <= step_norm(G(x + a*d)) <= hi`` for each
-        step a of the chunk.  The bounds are exact statements about G as
-        evaluated in floating point at the trial point ``x + a * d``, not
-        about its exact value, so a line search that trusts them where both
-        sit on one side of its cap decides exactly as if it had called G.
-        As in ``step_norm``, an entry exactly zero does not violate.  The
-        hook must describe this instance's own G, and reads ``alphas`` only
-        when it is called.  The iterator may drop from later chunks the
-        columns that earlier ones show not to violate at smaller steps.
+        ``violations_along(x, d, Z, alphas, cap)``, with ``Z = G(x)``,
+        models G along the ray x + a*d at the non-increasing step sizes
+        ``alphas`` in [0, 1], and raises ValueError if a step is larger
+        than the one before it.  It returns None when it cannot, or integer
+        arrays (lo, hi), one entry per step, with
+        ``lo <= step_norm(G(x + a*d)) <= hi`` at each step a.  The bounds
+        are exact statements about G as evaluated in floating point at the
+        trial point ``x + a * d``, not about its exact value, so a line
+        search that trusts them where both sit on one side of ``cap``
+        decides exactly as if it had called G.  As in ``step_norm``, an
+        entry exactly zero does not violate.  ``cap`` tells the hook how
+        tight its bounds need to be: a search reads them in order up to the
+        first step with ``hi <= cap``, and the hook may leave any later
+        step at (0, N).  The hook must describe this instance's own G, and
+        reads ``alphas`` only when it is called.
     """
 
     K: int
@@ -160,11 +174,137 @@ class NormOptInstance(ProblemInstance):
         return xi
 
 
+def _clear_steps(Z: np.ndarray, dmax: float, W: np.ndarray, b: float,
+                 slack: float) -> np.ndarray:
+    """Envelope thresholds of the violation model, one per column.
+
+    Every entry of column n of G(x + a*d), as G evaluates it in floating
+    point at the trial point ``x + a * d``, is below zero for every step
+    ``0 <= a < theta[n]``.  ``Z = G(x)``, ``dmax = ||d||_inf``, ``W`` the
+    column weights of the instance and ``slack`` its absolute slack.  The
+    caller keeps dmax and sqrt(b) at least _ENV_LO and Z + b at most
+    _SAFE_VAL; the weights lie in [_ENV_LO, _ENV_HI].  Then no quotient
+    below overflows and every threshold it keeps is a normal number.
+    """
+    # Fix an entry (m, n) with weights s_k = xi_sq[n, m, k] >= 0, so that
+    # ||v|| = sqrt(sum_k s_k * v_k^2) is a seminorm and G(y) = ||y||^2 - b
+    # in exact arithmetic.  With u the unit roundoff, e = _SUBNORMAL and
+    # w = sqrt(sum_k s_k):
+    #   - the trial point rounds each coordinate twice, a*d_k and then
+    #     x_k + a*d_k, so |y_k| <= (1 + u)^2 * (|x_k| + a*|d_k|) + e and, by
+    #     Minkowski, ||y|| <= (1 + u)^2 * (||x|| + a*||d||) + e*w, where
+    #     ||d|| <= dmax * w;
+    #   - G squares y_k, multiplies by s_k and adds K nonnegative terms in
+    #     any order, fused or not: each term rounds at most K + 1 times by a
+    #     relative u, and an underflowing square or product by an absolute
+    #     e/2 (sums of nonnegative terms never underflow), so the computed
+    #     sum is at most (1 + u)^(K + 1) * ||y||^2 + e * (K * s_max + K);
+    #   - rounding keeps the sign of the final ``- b``: the computed entry
+    #     is below zero exactly when that sum is below b;
+    #   - the same bounds read backwards at x, where Z rounds once more,
+    #     give ||x||^2 <= (Z + b)*(1 + g) + g*|Z| + h, where g = (8K + 64)*u
+    #     covers every relative factor here and h = 8K * e * (s_max + 1 + b)
+    #     every absolute one;
+    #   - the computed w, a K-term sum of nonnegative terms and a square
+    #     root in any order, is within a factor (1 + u)^(K + 1) of w.
+    # With Q that bound on ||x||^2 and B = b*(1 - g) - h, the entry is below
+    # zero whenever sqrt(Q) + a * dmax * w * (1 + g) <= sqrt(B), that is for
+    #     a < (B - Q) / (dmax * w * (1 + g) * (sqrt(B) + sqrt(Q))),
+    # and B - Q = -Z - 2*(g*b + h) when Z <= 0 (then |Z| <= b, as Z >= -b);
+    # for Z > 0 the bound is negative.  The bound falls as Z or w grows, so
+    # the column's largest Z and largest w give one threshold for all its
+    # entries.  Below, p = -Z - slack with slack = 3*(g*b + h), so p rounded
+    # is still at most -Z - 2*(g*b + h); the denominator uses sqrt(b) >=
+    # sqrt(B) and Z + b + slack >= Q; and W carries the factor (1 + g),
+    # which also covers the rounding of w, of the denominator and of the
+    # two quotients.  A threshold below _ENV_LO, which is where a rounding
+    # stops being relative, becomes 0, and so does a negative one.
+    z = Z.max(axis=0)
+    r = np.add(z, b + slack)
+    np.sqrt(r, out=r)
+    r += math.sqrt(b)
+    r *= W
+    theta = np.subtract(-slack, z)
+    theta /= r
+    theta /= dmax
+    theta[theta < _ENV_LO] = 0.0
+    return theta
+
+
+def _column_model(xi_sq: np.ndarray, Z: np.ndarray, cols: Optional[np.ndarray],
+                  xd: np.ndarray, b: float):
+    """The violation model over the columns ``cols`` of G, None meaning all.
+
+    Returns (rows, bands): coefficient rows (3, M*L), which give the
+    entries of the model at step a in column order as (1, a, a^2) @ rows,
+    and band rows (2, L), which give each column's band as (1, a^2) @
+    bands; or None when a coefficient passes _SAFE_VAL.  ``xd`` holds the
+    columns 2*x*d and d*d.
+    """
+    # G(x + a*d) = Z + a*c1 + a^2*c2 entrywise, with c1 = 2*sum_k
+    # xi_sq*x*d and c2 = sum_k xi_sq*d^2.  In floating point every entry
+    # of G at the trial point differs from the model, evaluated as a sum of
+    # three products, by at most
+    #     (4K + 13) * u * ((r0 + a*r2)^2 + |Z|),
+    # u the unit roundoff, r0^2 ~ |Z| + b and r2^2 ~ c2 the weighted
+    # squared norms of x and d: the trial point, the squares, the products
+    # and the K-term sums each round by a relative u per operation, and
+    # Cauchy-Schwarz bounds the cross term sum_k xi_sq*|x|*|d| by r0*r2.
+    # The K-term bound holds for any summation order, so it covers the
+    # einsum in G, the BLAS products below whatever their blocking, and
+    # fused multiply-adds, which round once where a product and a sum round
+    # twice.  Since (r0 + a*r2)^2 <= 2*r0^2 + 2*a^2*r2^2, the band e0 +
+    # a^2*e2 below covers that with room left for the rounding of the band
+    # itself; the absolute term covers gradual underflow.  Rounding keeps
+    # the sign of a sum, so a column whose largest model entry clears the
+    # band on either side has that sign in G too.
+    N, M, K = xi_sq.shape
+    L = N if cols is None else len(cols)
+    coef = np.empty((3, M, L))
+    cd = np.empty((L * M, 2))
+    # c1 and c2 from BLAS products, one per row block, which stays in cache
+    # while it is read: the samples in place when the model takes every
+    # column, else the rows of whole columns gathered into one buffer.  Row
+    # n*M + m lands at (m, n), so that the column maxima below run over
+    # whole rows of L entries.  xd is in C order: with the Fortran-ordered
+    # transpose the blocks took as long as one product over all rows.
+    if cols is None:
+        coef[0] = Z
+        rows = xi_sq.reshape(N * M, K)
+        block = max(1, _MODEL_BLOCK_BYTES // (rows.itemsize * K))
+        for first in range(0, N * M, block):
+            np.dot(rows[first:first + block], xd, out=cd[first:first + block])
+    else:
+        np.take(Z, cols, axis=1, out=coef[0])
+        block = max(1, _MODEL_BLOCK_BYTES // (xi_sq.itemsize * M * K))
+        buf = np.empty((min(block, L), M, K))
+        for first in range(0, L, block):
+            part = buf[:min(block, L - first)]
+            np.take(xi_sq, cols[first:first + block], axis=0, out=part)
+            np.dot(part.reshape(-1, K), xd, out=cd[first * M:(first + len(part)) * M])
+    coef[1:] = cd.reshape(L, M, 2).transpose(2, 1, 0)
+    # column maxima of |Z|, |c1| and c2
+    mag = np.abs(coef).max(axis=1) if M > 1 else np.abs(coef[:, 0])
+    if not mag.max() + b <= _SAFE_VAL:
+        return None
+    c = (4 * K + 32) * _UNIT
+    # the band e0 + a^2*e2 of each column, as the rows of one matrix
+    bands = np.empty((2, L))
+    bands[0] = (3.0 * c) * mag[0] + c * (2.0 * b + _TINY)
+    bands[1] = (2.0 * c) * mag[2]
+    return coef.reshape(3, M * L), bands
+
+
 def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
                     seed: Optional[int]) -> NormOptInstance:
     # xi is squared in place, so that building an instance never holds two
     # (N, M, K) arrays: the callers, make_norm_opt and load_samples, pass an
     # array of their own that nothing else reads
+    if not 0 < b < math.inf:
+        raise ValueError(f"threshold b must be positive and finite, got {b}")
+    for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 3:
         raise ValueError("sample array must have shape (N, M, K)")
@@ -178,8 +318,6 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
     # the largest square is the one that would overflow, and G would read inf
     if math.isinf(hi * hi):
         raise ValueError(f"sample draw of magnitude {hi!r} overflows when squared")
-    if not b > 0:
-        raise ValueError(f"threshold b must be positive, got {b}")
     # only draws outside [_EXACT_LO, _EXACT_HI) need a patch; one min and
     # one max rule them out for the usual samples
     if lo < _EXACT_LO or hi >= _EXACT_HI:
@@ -223,32 +361,23 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         X = np.asarray(X, dtype=float)
         return np.einsum("pk,nmk->pmn", X * X, xi_sq) - b
 
-    # the samples as an (N*M, K) matrix whose row n*M + m is the (m, n)
-    # constraint: a view of xi_sq, so the model reads it in place, and the
-    # rows of it in one block of the model's coefficient pass
-    xi_rows = xi_sq.reshape(N * M, K)
-    block = max(1, _MODEL_BLOCK_BYTES // (xi_rows.itemsize * K))
+    # The envelope of the violation model (see _clear_steps) runs on
+    # samples larger than one row block, where the model's cost is the
+    # bytes it reads; on smaller ones the model reads every column in place.
+    # Its weights W[n] = max_m sqrt(sum_k xi_sq[n, m, k]) carry the relative
+    # slack g and the floor _ENV_LO; ``slack`` is its absolute one.
+    W = None
+    if xi_sq.nbytes > _MODEL_BLOCK_BYTES and b >= _ENV_LO * _ENV_LO:
+        g = (8 * K + 64) * _UNIT
+        W = np.sqrt(np.einsum("nmk->nm", xi_sq).max(axis=1))
+        np.multiply(W, 1.0 + g, out=W)
+        np.maximum(W, _ENV_LO, out=W)
+        h = 8.0 * K * (_SUBNORMAL * (hi * hi) + _SUBNORMAL * (1.0 + b))
+        slack = 3.0 * (g * b + h)
+        if W.max() > _ENV_HI:
+            W = None
 
-    def violations_along(x, d, Z, alphas):
-        # G(x + a*d) = Z + a*c1 + a^2*c2 entrywise, with c1 = 2*sum_k
-        # xi_sq*x*d and c2 = sum_k xi_sq*d^2.  In floating point every entry
-        # of G at the trial point differs from the model, evaluated below as
-        # a sum of three products, by at most
-        #     (4K + 13) * u * ((r0 + a*r2)^2 + |Z|),
-        # u the unit roundoff, r0^2 ~ |Z| + b and r2^2 ~ c2 the weighted
-        # squared norms of x and d: the trial point, the squares, the
-        # products and the K-term sums each round by a relative u per
-        # operation, and Cauchy-Schwarz bounds the cross term
-        # sum_k xi_sq*|x|*|d| by r0*r2.  The K-term bound holds for any
-        # summation order, so it covers the einsum in G, the BLAS products
-        # below whatever their blocking, and fused multiply-adds, which
-        # round once where a product and a sum round twice.  Since
-        # (r0 + a*r2)^2 <= 2*r0^2 + 2*a^2*r2^2, the band e0 + a^2*e2 below
-        # covers that with room left for the rounding of the band itself;
-        # the absolute term covers gradual underflow.  Rounding keeps the
-        # sign of a sum, so a column whose largest model entry clears the
-        # band on either side has that sign in G too.
-        #
+    def violations_along(x, d, Z, alphas, cap):
         # The steps are copied once, as rows (1, a, a^2) of step powers, so
         # a caller that changes its array later changes no bound.
         powers = np.empty((len(alphas), 3))
@@ -257,79 +386,109 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         a = powers[:, 1]
         if not (a[1:] <= a[:-1]).all():
             raise ValueError("violations_along: the steps must be non-increasing")
-        powers[:, 2] = a * a
+        np.multiply(a, a, out=powers[:, 2])
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
         if not x @ x + d @ d <= _SAFE_VAL:
             return None
-        coef = np.empty((3, M, N))
-        coef[0] = Z
-        # c1 and c2 from BLAS products that read the samples in place, one
-        # per row block, which stays in cache while it is read; row n*M + m
-        # lands at (m, n), so that the column maxima below run over whole
-        # rows of N entries.  xd is copied to C order: with the
-        # Fortran-ordered transpose the blocks took as long as one product
-        # over all rows.
-        xd = np.array([2.0 * x * d, d * d]).T.copy()
-        cd = np.empty((N * M, 2))
-        for first in range(0, N * M, block):
-            np.dot(xi_rows[first:first + block], xd, out=cd[first:first + block])
-        coef[1:] = cd.reshape(N, M, 2).transpose(2, 1, 0)
-        # column maxima of |Z|, |c1| and c2
-        mag = np.abs(coef).max(axis=1)
-        if not mag.max() + b <= _SAFE_VAL:
-            return None
-        c = (4 * K + 32) * _UNIT
-        # the band e0 + a^2*e2 of each column, as the rows of one matrix
-        band_coef = np.empty((2, N))
-        band_coef[0] = (3.0 * c) * mag[0] + c * (2.0 * b + _TINY)
-        band_coef[1] = (2.0 * c) * mag[2]
+        P = len(a)
+        if not P:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        # the columns 2*x*d and d*d, in C order
+        xd = np.empty((K, 2))
+        np.multiply(x, 2.0, out=xd[:, 0])
+        xd[:, 0] *= d
+        np.multiply(d, d, out=xd[:, 1])
+        dmax = 0.0 if W is None else float(np.abs(d).max())
+        if not (dmax >= _ENV_LO and Z.max() + b <= _SAFE_VAL):
+            # without the envelope: every column, at every step
+            model = _column_model(xi_sq, Z, None, xd, b)
+            return None if model is None else count(*model, None, powers)
+        # S, the columns the model covers, is the first ``done`` columns of
+        # ``order``, by increasing envelope threshold; ``unsafe[j]`` columns
+        # of that order are not cleared by the envelope at step j, and those
+        # outside S count as possible violators there.
+        theta = _clear_steps(Z, dmax, W, b, slack)
+        # a column cleared at the largest step is cleared at every step
+        order = np.flatnonzero(theta <= a[0])
+        order = order[np.argsort(theta[order])]
+        unsafe = np.searchsorted(theta[order], a, side="right")
+        lo = np.zeros(P, dtype=np.intp)
+        hi = np.full(P, N, dtype=np.intp)
+        modelled = np.zeros(P, dtype=np.intp)
+        models = []
+        done = 0
 
-        per_chunk = max(1, _MODEL_CHUNK_ENTRIES // (M * N))
-        return model_chunks(powers, per_chunk, coef.reshape(3, M * N), band_coef)
+        def add(model, first, last):
+            part_lo, part_hi = count(*model, powers[first:last])
+            lo[first:first + len(part_lo)] += part_lo
+            modelled[first:first + len(part_hi)] += part_hi
 
-    def model_chunks(powers, per_chunk, rows, bands):
-        # The (lo, hi) bounds of violations_along, per_chunk steps at a
-        # time, from the model over the live columns: coefficient rows
-        # (3, M*L), band rows (2, L) and, once a chunk has settled columns,
-        # the column maxima of Z.
-        #
-        # The rounding bound of violations_along settles columns for every
-        # step below one already tried.  c2 is a sum of nonnegative
-        # products, so it is >= 0 as rounded too, and each entry's quadratic
-        # q(a) = Z + a*c1 + a^2*c2, taken exactly on the rounded
-        # coefficients, is convex in a: on [0, a_j] it stays below
-        # max(Z, q(a_j)).  The rounding bound is a sum of parts, so it
-        # bounds on its own the distance of G from q (the trial point, G's
-        # own rounding and that of the coefficients) and that of the
-        # evaluated model from q (its products and sums).  With t_j a
-        # column's evaluated top at a_j, each of its entries of G at a step
-        # a <= a_j is therefore at most
-        #     max(Z, t_j + band(a_j)) + band(a),
-        # and band(a) <= band(a_j), since rounding is monotone and e2 >= 0.
-        # A column whose maxima of Z and t_j both sit below -2*band(a_j)
-        # has every entry of G below zero at every step in [0, a_j]: it does
-        # not violate there, whatever the model would read at that step.
-        zmax = None
+        size = int(unsafe[-1])
+        first = 0
+        while first < P:
+            last = min(P, first + max(1, _MODEL_CHUNK_ENTRIES // (M * max(size, 1))))
+            for model in models:
+                add(model, first, last)
+            while True:
+                if size > done:
+                    # S gains order[done:size]; every column at once is
+                    # read in place
+                    cols = None if size == N and not done else order[done:size]
+                    model = _column_model(xi_sq, Z, cols, xd, b)
+                    if model is None:
+                        return None
+                    models.append((*model, theta if cols is None else theta[cols]))
+                    add(models[-1], first, last)
+                    done = size
+                outside = np.maximum(unsafe[first:last] - done, 0)
+                top = modelled[first:last] + outside
+                # The search ends at the first step whose bounds accept it.
+                # Before it, a step whose bounds straddle the cap while
+                # columns outside S are uncleared grows S, smallest
+                # thresholds first.  The steps do not increase, so every
+                # step before the first such one is rejected by lo alone.
+                # At least cap + 1 - lo more violators reject it, and S at
+                # least doubles, so that a loose envelope costs a few
+                # rounds, not one per handful of columns.
+                sure = np.flatnonzero(top <= cap)
+                stop = int(sure[0]) if sure.size else last - first
+                open_ = np.flatnonzero((lo[first:first + stop] <= cap) & (outside[:stop] > 0))
+                if not open_.size:
+                    break
+                j = first + int(open_[0])
+                size = min(int(unsafe[j]), done + max(math.floor(cap) + 1 - int(lo[j]), done))
+            hi[first:last] = top
+            if sure.size:
+                break
+            first = last
+        return lo, hi
+
+    def count(rows, bands, clear, powers):
+        # The model's bounds (lo, hi) over one set of columns at the steps
+        # ``powers``.  A column counts in hi only at steps where the
+        # envelope, thresholds ``clear``, does not clear it, and the bounds
+        # end before the first step where it clears every column.
+        if clear is not None:
+            powers = powers[:int(np.count_nonzero(powers[:, 1] >= clear.min()))]
+        L = bands.shape[1]
+        per_chunk = max(1, _MODEL_CHUNK_ENTRIES // (M * L))
+        lo = np.empty(len(powers), dtype=np.intp)
+        hi = np.empty(len(powers), dtype=np.intp)
         for first in range(0, len(powers), per_chunk):
-            if first:
-                # settled here, when the search asks for another chunk: a
-                # search that one chunk decides pays nothing for it
-                j = int(p[:, 1].argmin())
-                if zmax is None:
-                    zmax = rows.reshape(3, M, N)[0].max(axis=0)
-                keep = np.flatnonzero(np.maximum(top[j], zmax) >= 2.0 * band[j])
-                if keep.size < zmax.size:
-                    # np.take gathers whole columns about 3x faster than indexing
-                    rows = np.take(rows.reshape(3, M, -1), keep, axis=2).reshape(3, -1)
-                    bands, zmax = bands[:, keep], zmax[keep]
             p = powers[first:first + per_chunk]
-            top = (p @ rows).reshape(len(p), M, -1).max(axis=1)
+            top = p @ rows
+            if M > 1:
+                top = top.reshape(len(p), M, L).max(axis=1)
             band = p[:, ::2] @ bands
             # comparisons are exact: top > band iff the rounded top - band > 0
-            lo = (top > band).sum(axis=1)
+            (top > band).sum(axis=1, out=lo[first:first + len(p)])
             np.negative(band, out=band)
-            yield lo, bands.shape[1] - (top < band).sum(axis=1)
+            open_ = top >= band
+            if clear is not None:
+                open_ &= p[:, 1:2] >= clear
+            open_.sum(axis=1, out=hi[first:first + len(p)])
+        return lo, hi
 
     return NormOptInstance(
         K=K, M=M, N=N,

@@ -8,12 +8,14 @@ iterate's violation count within a relaxed budget (gamma + 1) * s, and the
 smoothing weight shrinks geometrically but never above a fixed multiple of
 the current residual norm.  Problems that model G along the search ray
 (``ProblemInstance.violations_along``) let that search count violations
-without evaluating G at every trial step.  The model yields its bounds a
-chunk of trial steps at a time, largest first, and the search takes the
-next chunk only when the ones before leave the step undecided.
+without evaluating G at every trial step: the model bounds the count at
+every trial step against the search's cap, and G decides only the steps
+whose bounds straddle it.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -96,8 +98,9 @@ class SolverConfig:
     of the line-search violation budget; None selects 3/s.  The smoothing
     schedule and the backtracking of the line search are fixed by the
     method: the constants ``_RHO``, ``_MU_BAR``, ``_NU``, ``_PI`` and
-    ``_T_MAX`` of this module.  The config is frozen, so its fields keep
-    the values its checks accepted.
+    ``_T_MAX`` of this module.  ``s`` and ``max_it`` must be integers and
+    ``tau``, ``tol_scale`` and ``gamma`` positive and finite.  The config
+    is frozen, so its fields keep the values its checks accepted.
     """
 
     s: int
@@ -107,16 +110,16 @@ class SolverConfig:
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"budget s must be >= 1, got {self.s}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.max_it < 0:
-            raise ValueError(f"max_it must be >= 0, got {self.max_it}")
-        if not self.tol_scale > 0:
-            raise ValueError(f"tol_scale must be positive, got {self.tol_scale}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        for name, least in (("s", 1), ("max_it", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name in ("tau", "tol_scale", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -233,16 +236,17 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
     A problem with a ``violations_along`` hook bounds the violation count
     of each trial step, the full step included, from a model of G along
     the ray (``Z`` is G(x), read only by the model), and G is called only
-    for a step whose bounds straddle the cap.  ``full_step_first`` tries
-    the full step with G before building the model, which pays off when
-    the full step is likely to pass.  Without the hook every trial step
-    goes to G.  The result equals that of calling G at every trial step.
+    for a step whose bounds straddle the cap.  The hook is given the cap,
+    so that it tightens its bounds only where the cap leaves a step open.
+    ``full_step_first`` tries the full step with G before building the
+    model, which pays off when the full step is likely to pass.  Without
+    the hook every trial step goes to G.  The result equals that of
+    calling G at every trial step.
 
-    The model yields the bounds a chunk of steps at a time, and the search
-    decides each chunk in order: the first step whose upper bound is within
-    the cap ends the search unless G accepts one of the straddling steps
-    before it.  Without the hook every step straddles, with bounds
-    (0, inf), in one chunk.
+    The search decides the steps in order: the first step whose upper
+    bound is within the cap ends the search unless G accepts one of the
+    straddling steps before it.  Without the hook every step straddles,
+    with bounds (0, inf).
     """
     bound = (gamma + 1.0) * s
 
@@ -257,23 +261,22 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         if within(1.0):
             return 0, 1.0, False
         start = 1
-    chunks = None
+    bounds = None
     if problem.violations_along is not None:
-        chunks = problem.violations_along(x, d_x, Z, steps[start:])
-    if chunks is None:
+        bounds = problem.violations_along(x, d_x, Z, steps[start:], bound)
+    if bounds is None:
         n = steps.size - start
-        chunks = [(np.zeros(n, dtype=np.intp), np.full(n, np.inf))]
-    for lo, hi in chunks:
-        # the first step the bounds accept, and before it, in order, the
-        # steps whose bounds straddle the cap
-        sure = np.flatnonzero(hi <= bound)
-        stop = int(sure[0]) if sure.size else lo.size
-        for j in np.flatnonzero(lo[:stop] <= bound).tolist():
-            if within(steps[start + j]):
-                return start + j, float(steps[start + j]), False
-        if sure.size:
-            return start + stop, float(steps[start + stop]), False
-        start += lo.size
+        bounds = np.zeros(n, dtype=np.intp), np.full(n, np.inf)
+    lo, hi = bounds
+    # the first step the bounds accept, and before it, in order, the steps
+    # whose bounds straddle the cap
+    sure = np.flatnonzero(hi <= bound)
+    stop = int(sure[0]) if sure.size else lo.size
+    for j in np.flatnonzero(lo[:stop] <= bound).tolist():
+        if within(steps[start + j]):
+            return start + j, float(steps[start + j]), False
+    if sure.size:
+        return start + stop, float(steps[start + stop]), False
     return steps.size - 1, 0.0, True
 
 

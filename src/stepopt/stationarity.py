@@ -16,6 +16,7 @@ which a classical point stays projection-stationary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -297,10 +298,10 @@ def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
     combinatorial conditions.  ``ztol`` (default: tol) classifies near-zero
     constraint values as active, so solver output passes without demanding
     exact zeros.  ``Z`` is G(x) when the caller has it; it is computed
-    otherwise.
+    otherwise.  ``tau`` must be positive and finite.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if ztol is None:
         ztol = tol
     if ztol < 0:

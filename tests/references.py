@@ -120,9 +120,8 @@ def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first):
     """(t, alpha, stalled) of the backtracking search one trial step at a time.
 
     The step sizes are multiplied out in turn, the model's (lo, hi) bounds
-    are read a step at a time from its chunks, each chunk only when the
-    search reaches it, and G decides each step whose bounds straddle the
-    cap, in order.
+    are read a step at a time, and G decides each step whose bounds
+    straddle the cap, in order.
     """
     bound = (gamma + 1.0) * s
 
@@ -136,20 +135,53 @@ def line_search(problem, x, d_x, s, gamma, pi, t_max, Z, full_step_first):
         if within(1.0):
             return 0, 1.0, False
         first = 1
-    chunks = None
+    bounds = None
     if problem.violations_along is not None and first <= t_max:
-        chunks = problem.violations_along(x, d_x, Z, np.array(alphas[first:]))
+        bounds = problem.violations_along(x, d_x, Z, np.array(alphas[first:]), bound)
+    if bounds is None:
+        pairs = itertools.repeat((0, math.inf))
+    else:
+        pairs = zip(bounds[0].tolist(), bounds[1].tolist())
 
-    def bounds():
-        if chunks is None:
-            yield from itertools.repeat((0, math.inf))
-        for lo, hi in chunks:
-            yield from zip(lo.tolist(), hi.tolist())
-
-    for t, alpha, (lo, hi) in zip(range(first, t_max + 1), alphas[first:], bounds()):
+    for t, alpha, (lo, hi) in zip(range(first, t_max + 1), alphas[first:], pairs):
         if hi <= bound or (lo <= bound and within(alpha)):
             return t, alpha, False
     return t_max, 0.0, True
+
+
+def violation_model(problem, x, d, Z, alphas):
+    """(lo, hi) bounds of the norm-design violation model over every column.
+
+    The model of ``NormOptInstance.violations_along`` without its envelope
+    or its chunks: the coefficients of all M*N entries from one product
+    over all samples, the same band, and the column-wise bounds at every
+    step.  None where the library model gives up on large values.
+    """
+    safe = 1e300
+    unit = np.finfo(float).eps / 2
+    N, M, K = problem.xi_sq.shape
+    if not x @ x + d @ d <= safe:
+        return None
+    xd = np.array([2.0 * x * d, d * d]).T.copy()
+    cd = problem.xi_sq.reshape(N * M, K) @ xd
+    coef = np.empty((3, M, N))
+    coef[0] = Z
+    coef[1:] = cd.reshape(N, M, 2).transpose(2, 1, 0)
+    mag = np.abs(coef).max(axis=1)
+    if not mag.max() + problem.b <= safe:
+        return None
+    c = (4 * K + 32) * unit
+    e0 = (3.0 * c) * mag[0] + c * (2.0 * problem.b + np.finfo(float).tiny)
+    e2 = (2.0 * c) * mag[2]
+    # the model's entries as one product of the step powers (1, a, a^2)
+    # with the coefficient rows, rounded as the library rounds them
+    a = np.asarray(alphas, dtype=float)
+    powers = np.stack([np.ones_like(a), a, a * a], axis=1)
+    top = (powers @ coef.reshape(3, M * N)).reshape(len(a), M, N).max(axis=1)
+    band = powers[:, ::2] @ np.stack([e0, e2])
+    lo = np.count_nonzero(top > band, axis=1)
+    hi = N - np.count_nonzero(top < -band, axis=1)
+    return lo.astype(np.intp), hi.astype(np.intp)
 
 
 def stacked_update(W, V, d_w, alpha):

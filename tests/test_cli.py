@@ -74,9 +74,36 @@ def test_solve_from_sample_file(tmp_path, capsys):
 
 
 def test_solve_rejects_bad_flag_values(capsys):
-    code, _, err = run(capsys, ["solve", "--tau", "-1.0"])
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--tau", "-1.0"])
+    assert exc.value.code == 1
+    assert "tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("flag,value", [
+    ("--tau", "inf"), ("--tau", "nan"), ("--gamma", "inf"), ("--gamma", "0"),
+    ("--tol-scale", "inf"), ("--tol-scale", "nan")])
+def test_solver_flags_must_be_positive_and_finite(command, flag, value, capsys):
+    # rejected while parsing, before any solve: --tol-scale inf converged
+    # at once, --gamma inf lifted the cap and --tau inf aborted the solver
+    bench = ["--sweep", "K", "--values", "2", "--trials", "1"] if command == "bench" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *SOLVE_FLAGS, *bench, flag, value])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {flag}: must be positive and finite, got {value}" in err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--b", "inf"], "threshold b must be positive and finite, got inf"),
+    (["--lambda1", "inf"], "lambda1 must be finite, got inf"),
+    (["--lambda2", "nan"], "lambda2 must be finite, got nan"),
+    (["--alpha", "nan"], "--alpha must be in (0, 1), got nan")])
+def test_solve_rejects_non_finite_instance_flags(flags, message, capsys):
+    code, out, err = run(capsys, ["solve", *SOLVE_FLAGS, *flags])
     assert code == 1
-    assert "tau" in err
+    assert out == "" and err == f"stepopt: error: {message}\n"
 
 
 def test_solver_abort_maps_to_exit_2(capsys, monkeypatch):

@@ -2,12 +2,14 @@
 
 For norm-design instances the search bounds violation counts from the
 ``violations_along`` model of G and calls G only where the bounds straddle
-the cap.  Most tests here compare that path with the plain loop, obtained
-by removing the hook, and require the same (t, alpha, stalled); the rest
-count G calls and check that the model reads the samples in place.
+the cap.  On samples larger than one row block the model clears most
+columns with a per-column envelope and models only the rest, the set S.
+Most tests here compare that path with the plain loop, obtained by
+removing the hook, and require the same (t, alpha, stalled); the rest
+count G calls against the column-wise model of ``references``, check the
+envelope entry by entry, and bound what the model reads and allocates.
 """
 import dataclasses
-import inspect
 import math
 import tracemalloc
 
@@ -157,21 +159,26 @@ def test_model_matches_plain_loop_on_random_directions(pi, t_max, monkeypatch):
 @pytest.mark.parametrize("per_chunk", [1, 6, 51])
 @pytest.mark.parametrize("K,M,N,b,alpha", [(10, 1, 100, 14.0, 0.05), (50, 20, 200, 40.0, 0.05)])
 def test_chunked_decision_matches_the_step_loop(K, M, N, b, alpha, per_chunk, monkeypatch):
-    # The search decides a chunk of steps at once; the reference walks the
-    # same model bounds one step at a time.  Both must call G on the same
-    # steps, with and without the model, wherever the chunks begin.
+    # The model evaluates its steps in chunks of about per_chunk * N / |S|
+    # steps, per_chunk when it models every column, and with its envelope
+    # it decides them chunk by chunk; the reference walks the same model
+    # bounds one step at a time.
+    # Both must call G on the same steps, with and without the model,
+    # wherever the chunks begin, and the model must reject, accept or
+    # leave open each step up to the decision as it does in one chunk.
     s = math.ceil(alpha * N)
     config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=30)
     spanning = 0
     for seed in range(3):
         problem = make_norm_opt(K, M, N, b=b, seed=seed)
         searches = recorded_searches(problem, config, monkeypatch)
-        monkeypatch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", per_chunk * M * N)
         for x, d, s, gamma, first in searches:
             Z = problem.G(x)
             steps = solver_mod._STEPS[first:]
-            sizes = [lo.size for lo, _ in problem.violations_along(x, d, Z, steps)]
-            assert sizes == [len(steps[i:i + per_chunk]) for i in range(0, steps.size, per_chunk)]
+            cap = (gamma + 1.0) * s
+            whole = problem.violations_along(x, d, Z, steps, cap)
+            monkeypatch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", per_chunk * M * N)
+            lo, hi = problem.violations_along(x, d, Z, steps, cap)
             for hook in (problem, exact(problem)):
                 counted, calls = counting(hook)
                 got = feasibility_line_search(counted, x, d, s, gamma, Z=Z,
@@ -180,16 +187,23 @@ def test_chunked_decision_matches_the_step_loop(K, M, N, b, alpha, per_chunk, mo
                 want = references.line_search(ref, x, d, s, gamma, solver_mod._PI,
                                               solver_mod._T_MAX, Z, first)
                 assert got == want and calls[0] == ref_calls[0]
-            # with the model, steps first..t took (t - first) // per_chunk + 1 chunks
+            monkeypatch.undo()
+            upto = want[0] - first + 1
+            assert (decisions(lo, hi, cap)[:upto] == decisions(*whole, cap)[:upto]).all()
+            # the decision lies past the first per_chunk steps
             spanning += want[0] - first >= per_chunk
-        monkeypatch.undo()
     if per_chunk < 51:
         assert spanning > 0
 
 
-def model_bounds(problem, x, d, alphas):
-    """The (lo, hi) bounds of every step in ``alphas``, over all the model's chunks."""
-    return tuple(map(np.concatenate, zip(*problem.violations_along(x, d, problem.G(x), alphas))))
+def decisions(lo, hi, cap):
+    """Per step: 1 when the bounds accept it, -1 when they reject it, else 0."""
+    return np.where(hi <= cap, 1, np.where(lo > cap, -1, 0))
+
+
+def model_bounds(problem, x, d, alphas, cap):
+    """The (lo, hi) bounds of every step in ``alphas`` against ``cap``."""
+    return problem.violations_along(x, d, problem.G(x), alphas, cap)
 
 
 def test_model_bounds_hold_at_every_step():
@@ -199,13 +213,15 @@ def test_model_bounds_hold_at_every_step():
     for _ in range(20):
         x = rng.uniform(-1.5, 1.5, 12)
         d = rng.standard_normal(12) * 3.0
-        lo, hi = model_bounds(problem, x, d, alphas)
-        for a, l, h in zip(alphas, lo, hi):
-            assert l <= step_norm(problem.G(x + a * d)) <= h
+        for cap in (0.0, 3.0, 40.0, 80.0):
+            lo, hi = model_bounds(problem, x, d, alphas, cap)
+            for a, l, h in zip(alphas, lo, hi):
+                assert l <= step_norm(problem.G(x + a * d)) <= h
 
 
 # K and (M, N) with M*N below one row block of the model's coefficient
-# pass, and M*N over two blocks but not a multiple of one
+# pass, and M*N over two blocks but not a multiple of one: there the
+# samples span several blocks and the model runs its envelope
 BLOCK_K = 40
 BLOCK_ROWS = _MODEL_BLOCK_BYTES // (8 * BLOCK_K)
 BLOCK_SHAPES = [(2, 100), (3, 700)]
@@ -214,11 +230,12 @@ BLOCK_SHAPES = [(2, 100), (3, 700)]
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from(BLOCK_SHAPES), seed=st.integers(0, 3),
        point=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([0.3, 1.0, 3.0]),
-       b=st.sampled_from([20.0, 40.0, 80.0]), chunk=st.integers(1, 20))
-def test_model_bounds_hold_in_every_chunk(shape, seed, point, scale, b, chunk):
-    # The model yields its bounds ``chunk`` steps at a time, largest first,
-    # and leaves out of later chunks the columns that earlier ones settled.
-    # Every step of every chunk must still be bounded.
+       b=st.sampled_from([20.0, 40.0, 80.0]), chunk=st.integers(1, 20),
+       cap=st.sampled_from([0.0, 5.0, 50.0, 300.0]))
+def test_model_bounds_hold_in_every_chunk(shape, seed, point, scale, b, chunk, cap):
+    # The model decides its steps about ``chunk`` * N / |S| at a time,
+    # largest first, and stops after the chunk that holds the first step
+    # its bounds accept.  Every step must still be bounded.
     M, N = shape
     assert M * N < BLOCK_ROWS or (M * N > 2 * BLOCK_ROWS and M * N % BLOCK_ROWS)
     problem = make_norm_opt(BLOCK_K, M, N, b=b, seed=seed)
@@ -226,36 +243,31 @@ def test_model_bounds_hold_in_every_chunk(shape, seed, point, scale, b, chunk):
     x = rng.uniform(-1.5, 1.5, BLOCK_K)
     d = rng.standard_normal(BLOCK_K) * scale
     steps = solver_mod._STEPS
-    done = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", chunk * M * N)
-        for lo, hi in problem.violations_along(x, d, problem.G(x), steps):
-            assert lo.size == min(chunk, steps.size - done)
-            for a, l, h in zip(steps[done:], lo, hi):
-                assert l <= step_norm(problem.G(x + a * d)) <= h
-            done += lo.size
-    assert done == steps.size
+        lo, hi = problem.violations_along(x, d, problem.G(x), steps, cap)
+    assert lo.size == hi.size == steps.size
+    for a, l, h in zip(steps, lo, hi):
+        assert l <= step_norm(problem.G(x + a * d)) <= h
 
 
-def test_model_keeps_its_own_copy_of_the_steps(monkeypatch):
-    # A caller that overwrites its array of steps after the first chunk
-    # changes none of the later bounds: the model copied the steps when it
-    # was called.
+def test_model_keeps_its_own_copy_of_the_steps():
+    # A caller that overwrites its array of steps after the call changes
+    # none of the bounds: the model copied the steps when it was called,
+    # and its bounds share no memory with them.
     K, M, N = 12, 4, 80
-    monkeypatch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", 5 * M * N)
     problem = make_norm_opt(K, M, N, b=15.0, seed=2)
     rng = np.random.default_rng(7)
     steps = solver_mod._STEPS
     for _ in range(10):
         x = rng.uniform(-1.5, 1.5, K)
         d = rng.standard_normal(K) * 3.0
-        want = [b.tolist() for b in model_bounds(problem, x, d, steps)]
+        want = [b.tolist() for b in model_bounds(problem, x, d, steps, 10.0)]
         alphas = steps.copy()
-        chunks = problem.violations_along(x, d, problem.G(x), alphas)
-        got = [next(chunks)]
+        got = problem.violations_along(x, d, problem.G(x), alphas, 10.0)
+        assert not any(np.shares_memory(b, alphas) for b in got)
         alphas[:] = 1.0
-        got += chunks
-        assert [np.concatenate(b).tolist() for b in zip(*got)] == want
+        assert [b.tolist() for b in got] == want
 
 
 def test_model_rejects_increasing_steps():
@@ -264,36 +276,43 @@ def test_model_rejects_increasing_steps():
     Z = problem.G(x)
     for alphas in ([0.5, 1.0], [1.0, 0.25, 0.5], [1.0, np.nan]):
         with pytest.raises(ValueError, match="non-increasing"):
-            problem.violations_along(x, d, Z, np.array(alphas))
+            problem.violations_along(x, d, Z, np.array(alphas), 1.0)
     # equal steps in a row are allowed, and so is an empty table
-    assert len(model_bounds(problem, x, d, np.array([1.0, 0.5, 0.5]))[0]) == 3
-    assert list(problem.violations_along(x, d, Z, np.empty(0))) == []
+    assert len(model_bounds(problem, x, d, np.array([1.0, 0.5, 0.5]), 1.0)[0]) == 3
+    assert [b.size for b in problem.violations_along(x, d, Z, np.empty(0), 1.0)] == [0, 0]
+
+
+def model_builds(monkeypatch):
+    """A list that records the number of columns of each model build."""
+    builds = []
+    plain = problems_mod._column_model
+
+    def recorded(xi_sq, Z, cols, xd, b):
+        builds.append(xi_sq.shape[0] if cols is None else len(cols))
+        return plain(xi_sq, Z, cols, xd, b)
+
+    monkeypatch.setattr(problems_mod, "_column_model", recorded)
+    return builds
 
 
 def test_stalled_search_evaluates_few_columns(monkeypatch):
-    # A stalled search takes all 51 steps of the model in four chunks.
-    # Convexity settles most columns after the first chunk, so the chunks
-    # evaluate far fewer than the 51 * N column-steps of the whole model.
+    # A stalled search on a wide-size instance decides all 51 steps.  The
+    # envelope clears most columns at every step, so the model covers
+    # under a quarter of them.
     K, M, N, b, alpha = 20, 10, 2000, 25.0, 0.05
     problem = make_norm_opt(K, M, N, b=b, seed=0)
     s = math.ceil(alpha * N)
     config = SolverConfig(s=s, gamma=gamma_for(alpha, s), max_it=30)
-    steps = solver_mod._STEPS
     stalled = 0
-    for x, d, s, gamma, _ in recorded_searches(problem, config, monkeypatch):
+    searches = recorded_searches(problem, config, monkeypatch)
+    builds = model_builds(monkeypatch)
+    for x, d, s, gamma, _ in searches:
         Z = problem.G(x)
+        builds.clear()
         if not feasibility_line_search(problem, x, d, s, gamma, Z)[2]:
             continue
         stalled += 1
-        chunks = problem.violations_along(x, d, Z, steps)
-        evaluated = taken = 0
-        for _ in chunks:
-            # the tops of the chunk, one row per step and one column per
-            # column evaluated
-            evaluated += chunks.gi_frame.f_locals["top"].size
-            taken += 1
-        assert taken == 4
-        assert evaluated < 0.5 * steps.size * N
+        assert 0 < sum(builds) < N / 4
     assert stalled
 
 
@@ -374,21 +393,22 @@ def test_model_decides_the_full_step(tmp_path, monkeypatch):
 
 
 def test_model_reads_the_samples_in_place():
+    # A call allocates a few (M, N) arrays and one row block at a time, far
+    # less than the samples: here every column violates at x, so the model
+    # covers them all and reads the samples in place.
     problem = make_norm_opt(50, 20, 200, b=40.0, seed=0)
-    rows = inspect.getclosurevars(problem.violations_along).nonlocals["xi_rows"]
-    assert rows.shape == (200 * 20, 50)
-    assert np.shares_memory(rows, problem.xi_sq)
-    # a model build allocates a few (M, N) arrays, far less than the samples
     rng = np.random.default_rng(0)
     x, d = rng.standard_normal(50), rng.standard_normal(50)
     Z = problem.G(x)
-    tracemalloc.start()
-    try:
-        assert problem.violations_along(x, d, Z, solver_mod._STEPS) is not None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < problem.xi_sq.nbytes // 4
+    assert (Z.max(axis=0) > 0.0).all()
+    for cap in (0.0, 100.0, 1e9):
+        tracemalloc.start()
+        try:
+            assert problem.violations_along(x, d, Z, solver_mod._STEPS, cap) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < problem.xi_sq.nbytes // 4
 
 
 def test_model_gives_way_to_the_plain_loop_on_huge_directions(monkeypatch):
@@ -399,14 +419,14 @@ def test_model_gives_way_to_the_plain_loop_on_huge_directions(monkeypatch):
     for d in (np.full(5, 1e200), np.array([np.nan, 0.0, 0.0, 0.0, 0.0])):
         counted, calls = counting(problem)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert problem.violations_along(x, d, Z, steps) is None
+            assert problem.violations_along(x, d, Z, steps, 1.5) is None
             got = feasibility_line_search(counted, x, d, 1, 0.5, Z=Z)
         # every trial point has a non-finite G and counts as rejected
         assert got == (20, 0.0, True)
         assert calls[0] == 21
     # G values near overflow: the model declines, though G is still finite
     huge = make_norm_opt(5, 2, 30, b=1e301, seed=3)
-    assert huge.violations_along(x, np.ones(5), huge.G(x), steps) is None
+    assert huge.violations_along(x, np.ones(5), huge.G(x), steps, 1.5) is None
 
 
 def exp_problem():
@@ -432,3 +452,98 @@ def test_nonfinite_trial_point_counts_as_rejected():
         res = solve(problem, SolverConfig(s=1))
     assert res.status == "LineSearchStalled"
     assert np.all(np.isfinite(res.point.x)) and res.point.x[0] < 710.0
+
+
+# samples over many row blocks, so that the model runs its envelope
+ENV_DIMS = (40, 3, 700)
+
+
+def with_reference_model(problem):
+    """The same instance with the column-wise model of ``references`` as its hook."""
+    def hook(x, d, Z, alphas, cap):
+        return references.violation_model(problem, x, d, Z, alphas)
+
+    return dataclasses.replace(problem, violations_along=hook)
+
+
+def searched(problem, x, d, s, gamma, Z, first):
+    """(result, G calls) of one search on ``problem``."""
+    counted, calls = counting(problem)
+    return feasibility_line_search(counted, x, d, s, gamma, Z, full_step_first=first), calls[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 3), point=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.01, 0.3, 1.0, 3.0]), edge=st.sampled_from(["none", "below", "zero"]),
+       ulps=st.integers(1, 4), at=st.integers(0, 50), s=st.integers(1, 60),
+       gamma=st.sampled_from([0.0, 0.5, 2.0]), first=st.booleans(), aligned=st.booleans())
+def test_envelope_clears_only_columns_below_zero(seed, point, scale, edge, ulps, at, s, gamma,
+                                                 first, aligned):
+    # Random points and directions, with the largest entry of G a few ulps
+    # below zero at x ("below") or exactly zero at one trial step ("zero",
+    # b taken from G's own arithmetic there).  Every column the envelope
+    # clears at a step a, including the largest float below its threshold,
+    # a tiny step and a = 0, has every entry of G(x + a*d) below zero; the
+    # search decides as the plain loop does and calls G no more often than
+    # with the column-wise model over every column.  An aligned direction
+    # has entries of one magnitude and the signs of x, where the envelope's
+    # two inequalities hold with equality, so its thresholds sit within its
+    # rounding slack of where G first reaches zero.
+    K, M, N = ENV_DIMS
+    rng = np.random.default_rng(point)
+    if aligned:
+        signs = rng.choice([-1.0, 1.0], K)
+        x, d = rng.uniform(0.1, 1.0) * signs, scale * signs
+    else:
+        x = rng.uniform(-1.0, 1.0, K)
+        d = rng.standard_normal(K) * scale
+    xi_sq = make_norm_opt(K, M, N, seed=seed).xi_sq
+    b = 20.0
+    if edge != "none":
+        y = x if edge == "below" else x + solver_mod._STEPS[at] * d
+        b = float(np.einsum("nmk,k->mn", xi_sq, y * y).max())
+        for _ in range(ulps if edge == "below" else 0):
+            b = float(np.nextafter(b, np.inf))
+    problem = make_norm_opt(K, M, N, b=b, seed=seed)
+    Z = problem.G(x)
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        plain = problems_mod._clear_steps
+
+        def recorded(*args):
+            seen.append(plain(*args))
+            return seen[-1]
+
+        patch.setattr(problems_mod, "_clear_steps", recorded)
+        assert problem.violations_along(x, d, Z, solver_mod._STEPS, (gamma + 1.0) * s) is not None
+    theta, = seen
+    below = [float(np.nextafter(t, 0.0)) for t in theta[(theta > 0.0) & (theta <= 1.0)][:20]]
+    for a in list(solver_mod._STEPS) + [1e-8, 1e-300, 0.0] + below:
+        cleared = theta > a
+        if cleared.any():
+            assert problem.G(x + a * d)[:, cleared].max() < 0.0
+    got, calls = searched(problem, x, d, s, gamma, Z, first)
+    assert got == searched(exact(problem), x, d, s, gamma, Z, first)[0]
+    assert calls <= searched(with_reference_model(problem), x, d, s, gamma, Z, first)[1]
+
+
+def test_model_grows_its_columns_until_the_step_is_decided(monkeypatch):
+    # From x = 0 every entry of G is -b, so the envelope clears every
+    # column at the smallest steps and S starts empty.  At the larger
+    # steps it clears few, and the model adds columns, smallest threshold
+    # first, until each step is rejected or accepted.  The direction's
+    # entries differ, so the envelope is loose and the model takes several
+    # rounds; S at least doubles in each, so they stay logarithmic in N.
+    K, M, N = 20, 10, 2000
+    problem = make_norm_opt(K, M, N, b=25.0, seed=1)
+    x = np.zeros(K)
+    d = np.abs(np.random.default_rng(0).standard_normal(K))
+    Z = problem.G(x)
+    builds = model_builds(monkeypatch)
+    for s, gamma in ((5, 0.5), (100, 0.03)):
+        builds.clear()
+        got, calls = searched(problem, x, d, s, gamma, Z, False)
+        assert 1 < len(builds) <= 2 + math.log2(N)
+        assert got == searched(exact(problem), x, d, s, gamma, Z, False)[0]
+        assert got[0] > 0 and not got[2]
+        assert calls <= searched(with_reference_model(problem), x, d, s, gamma, Z, False)[1]

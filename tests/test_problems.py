@@ -1,5 +1,6 @@
 """Instance constructors: derivative consistency, determinism, file round-trips."""
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,13 @@ class TestRawDraws:
             draws[1, 0, 2] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 _build_norm_opt(draws, 1.0, 0.5, 0.5, None)
+
+    def test_non_finite_parameters_rejected(self):
+        for kw, message in (({"b": math.inf}, "threshold b"), ({"b": math.nan}, "threshold b"),
+                            ({"b": 0.0}, "threshold b"), ({"lambda1": math.inf}, "lambda1"),
+                            ({"lambda2": math.nan}, "lambda2"), ({"lambda2": -math.inf}, "lambda2")):
+            with pytest.raises(ValueError, match=message):
+                make_norm_opt(3, 1, 5, **{"b": 2.0, **kw})
 
     def test_draws_whose_square_overflows_rejected(self, tmp_path):
         # a square of inf would make G return inf, or nan where x_k = 0

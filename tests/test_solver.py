@@ -127,6 +127,25 @@ def test_config_rejects_bad_values():
         SolverConfig(s=1, gamma=-0.5)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tau", math.inf), ("tau", math.nan), ("gamma", math.inf), ("gamma", math.nan),
+    ("tol_scale", math.inf), ("tol_scale", math.nan), ("tol_scale", 0.0)])
+def test_config_rejects_values_that_are_not_positive_and_finite(field, value):
+    # an infinite tol_scale converged at once, and an infinite gamma lifted
+    # the cap of the line search
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        SolverConfig(s=5, **{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("s", 2.5), ("s", 2.0), ("s", True), ("max_it", 2.5), ("max_it", "3")])
+def test_config_rejects_counts_that_are_not_integers(field, value):
+    # s = 2.5 failed deep in the clamp-column choice, max_it = 2.5 ran 3 iterations
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverConfig(**{"s": 5, field: value})
+    assert SolverConfig(s=np.int64(5), max_it=np.int32(3)).s == 5
+
+
 def test_config_defaults():
     cfg = SolverConfig(s=5)
     assert cfg.tau == 0.75

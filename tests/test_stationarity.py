@@ -1,5 +1,6 @@
 """Stationarity residual, smoothed Jacobian, and the three optimality checks."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -287,6 +288,13 @@ class TestTauStationary:
         assert rep.satisfied and rep.residual <= 1e-12
         rep = check_tau_stationary(p, pt, tau=5.0, s=1)
         assert not rep.satisfied
+
+    def test_rejects_a_tau_that_is_not_positive_and_finite(self):
+        # an infinite tau would make inf * 0 = nan of the zero multipliers
+        p, pt, _ = self.build_boundary_case()
+        for tau in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                check_tau_stationary(p, pt, tau=tau, s=1)
 
     def test_given_G_matches_computed_G(self):
         p, pt, _ = self.build_boundary_case()
