@@ -15,10 +15,15 @@ samples, clears most columns at most steps, and the exact model reads only
 the columns it cannot clear, adding more, smallest threshold first, only
 while the search's cap leaves a step open.  The model decides the steps a
 chunk at a time, largest first, and stops after the chunk that holds the
-first step its bounds accept.
+first step its bounds accept.  On the same samples the instance bounds G
+after a step (``G_step``): a per-column bound of the same kind proves most
+columns negative at the new point, and G is evaluated only on the rest,
+with the same einsum over their gathered rows, so those columns are G bit
+for bit.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -59,6 +64,8 @@ _ENV_LO = 2.0 ** -256
 _ENV_HI = 2.0 ** 400
 # the empty patch (positions, magnitudes), shared by the instances that need none
 _NO_PATCH = (np.empty(0, dtype=np.intp), np.empty(0))
+# the context of a model whose products cannot overflow: nothing to silence
+_QUIET = contextlib.nullcontext()
 # the norm-design defaults of make_norm_opt, load_samples and norm_opt_draw
 _DEFAULT_B = 100.0
 _DEFAULT_LAMBDA1 = 0.5
@@ -117,7 +124,20 @@ class ProblemInstance:
         tight its bounds need to be: a search reads them in order up to the
         first step with ``hi <= cap``, and the hook may leave any later
         step at (0, N).  The hook must describe this instance's own G, and
-        reads ``alphas`` only when it is called.
+        reads ``alphas`` only when it is called.  A problem that provides
+        ``G_step`` also takes the keyword ``bounded``, the mask that
+        ``G_step`` returned with Z: the hook may read Z as an upper bound on
+        those columns, and it evaluates G there before it uses their values.
+    G_step : callable, optional
+        ``G_step(x, d, alpha, Z, exact_cols)``, with Z = G(x), or Z from an
+        earlier ``G_step`` call, gives ``(G(y), bounded)`` at the trial point
+        ``y = x + alpha * d``, rounded as that expression rounds.  Columns
+        where ``bounded``, a boolean (N,) mask, is True hold one number each,
+        an upper bound below zero on every entry of G(y) there; all other
+        columns, among them ``exact_cols``, hold G(y) bit for bit.
+        ``bounded`` is None when no column is bounded.  ``solve`` passes the
+        columns where its multipliers are nonzero as ``exact_cols``, so
+        that a bounded column is negative in G + tau*W either way.
     """
 
     K: int
@@ -131,6 +151,7 @@ class ProblemInstance:
     f_batch: Callable[[np.ndarray], np.ndarray]
     G_batch: Callable[[np.ndarray], np.ndarray]
     violations_along: Optional[Callable] = None
+    G_step: Optional[Callable] = None
 
     def __post_init__(self):
         if self.K < 1 or self.M < 1 or self.N < 1:
@@ -231,15 +252,83 @@ def _clear_steps(Z: np.ndarray, dmax: float, W: np.ndarray, b: float,
     return theta
 
 
+def _step_bounds(z: np.ndarray, step: float, W: np.ndarray, b: float,
+                 slack: float) -> np.ndarray:
+    """Upper bounds on the columns of G(x + a*d) that come out below zero.
+
+    ``z`` holds the column maxima of G(x), or upper bounds on them no
+    smaller than -b, ``step = a * ||d||_inf`` and W and ``slack`` are those
+    of _clear_steps.  Every entry of column n of G(x + a*d), as G evaluates
+    it in floating point at the trial point ``x + a * d``, is at most
+    ``bound[n]`` whenever ``bound[n] < 0``; a nonnegative bound says
+    nothing.  The caller keeps step at least _ENV_LO and z + b at most
+    _SAFE_VAL, and ignores overflow, which only gives inf.
+    """
+    # In the notation of _clear_steps, take a column with z <= 0 and write
+    # A = sqrt(Q) + a*dmax*w, with Q = z + b + g*b + h >= ||x||^2.  The
+    # computed sum of G at the trial point is at most T = (1 + u)^(K + 1) *
+    # ((1 + u)^2 * A + e*w)^2 + e*(K*s_max + K), and rounding its ``- b``
+    # gives an entry of at most T - b + u*(T + b).  Below:
+    #   - z + b + slack, with slack = 3*(g*b + h), exceeds Q by 2*(g*b + h),
+    #     so by a factor 1 + 1.8g after its two roundings; its square root
+    #     carries 1 + 0.9g, as W carries 1 + g, so the rounded sum of the
+    #     two terms is at least (1 + 0.85g) * (1 - 3u) * A;
+    #   - its square, rounded, is at least (1 + 1.7g - 8u) * A^2, more than
+    #     the (1 + (K + 9)u) * A^2 of T*(1 + u) once 2*A*e*w <= u*A^2 +
+    #     e^2*w^2/u splits the cross term, as g = (8K + 64)*u;
+    #   - subtracting b - slack instead of b leaves slack - 2u*b, which
+    #     covers the u*b of the final rounding, the u*b of b - slack itself
+    #     and the absolute terms of T, which are below h/4.
+    # Every operation rounds relative to its result: step >= _ENV_LO keeps
+    # step*W normal, z + b + slack >= slack is normal, and a subtraction
+    # whose result is subnormal is exact.  The bound is at least -b, so it
+    # can stand for z in the next call, and a column with z > 0 has a
+    # square above b - slack, so a bound of at least zero.
+    r = np.add(z, b + slack)
+    np.sqrt(r, out=r)
+    r += step * W
+    np.square(r, out=r)
+    r -= b - slack
+    return r
+
+
+def _einsum_G(xi_sq: np.ndarray, x: np.ndarray, b: float,
+              cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """G(x) of the norm-design instance, or its columns ``cols``.
+
+    One einsum over the sample rows, gathered when ``cols`` is given, which
+    gives each column of G bit for bit either way.
+    """
+    rows = xi_sq if cols is None else np.take(xi_sq, cols, axis=0)
+    return np.einsum("nmk,k->mn", rows, x * x) - b
+
+
+def _values_on(xi_sq: np.ndarray, b: float, x: np.ndarray, Z: np.ndarray,
+               bounded: Optional[np.ndarray], cols: Optional[np.ndarray]) -> np.ndarray:
+    """G(x) on the columns ``cols`` of Z, None meaning all, in an (M, L) array.
+
+    ``bounded`` marks the columns where Z holds only a bound, None meaning
+    none; G is evaluated there and Z read elsewhere.
+    """
+    if cols is None:
+        return Z if bounded is None else _einsum_G(xi_sq, x, b)
+    out = np.take(Z, cols, axis=1)
+    if bounded is not None:
+        fix = np.flatnonzero(bounded[cols])
+        if fix.size:
+            out[:, fix] = _einsum_G(xi_sq, x, b, cols[fix])
+    return out
+
+
 def _column_model(xi_sq: np.ndarray, Z: np.ndarray, cols: Optional[np.ndarray],
                   xd: np.ndarray, b: float):
     """The violation model over the columns ``cols`` of G, None meaning all.
 
-    Returns (rows, bands): coefficient rows (3, M*L), which give the
-    entries of the model at step a in column order as (1, a, a^2) @ rows,
-    and band rows (2, L), which give each column's band as (1, a^2) @
-    bands; or None when a coefficient passes _SAFE_VAL.  ``xd`` holds the
-    columns 2*x*d and d*d.
+    ``Z`` holds G(x) on those columns, an (M, L) array, and ``xd`` the
+    columns 2*x*d and d*d.  Returns (rows, bands): coefficient rows (3,
+    M*L), which give the entries of the model at step a in column order as
+    (1, a, a^2) @ rows, and band rows (2, L), which give each column's band
+    as (1, a^2) @ bands; or None when a coefficient passes _SAFE_VAL.
     """
     # G(x + a*d) = Z + a*c1 + a^2*c2 entrywise, with c1 = 2*sum_k
     # xi_sq*x*d and c2 = sum_k xi_sq*d^2.  In floating point every entry
@@ -267,15 +356,16 @@ def _column_model(xi_sq: np.ndarray, Z: np.ndarray, cols: Optional[np.ndarray],
     # column, else the rows of whole columns gathered into one buffer.  Row
     # n*M + m lands at (m, n), so that the column maxima below run over
     # whole rows of L entries.  xd is in C order: with the Fortran-ordered
-    # transpose the blocks took as long as one product over all rows.
+    # transpose the blocks took as long as one product over all rows.  A
+    # product that overflows gives inf or nan, which the check of the
+    # column maxima below turns into None.
+    coef[0] = Z
     if cols is None:
-        coef[0] = Z
         rows = xi_sq.reshape(N * M, K)
         block = max(1, _MODEL_BLOCK_BYTES // (rows.itemsize * K))
         for first in range(0, N * M, block):
             np.dot(rows[first:first + block], xd, out=cd[first:first + block])
     else:
-        np.take(Z, cols, axis=1, out=coef[0])
         block = max(1, _MODEL_BLOCK_BYTES // (xi_sq.itemsize * M * K))
         buf = np.empty((min(block, L), M, K))
         for first in range(0, L, block):
@@ -316,7 +406,8 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
     if not math.isfinite(hi):
         raise ValueError("sample array has non-finite entries")
     # the largest square is the one that would overflow, and G would read inf
-    if math.isinf(hi * hi):
+    s_max = hi * hi
+    if math.isinf(s_max):
         raise ValueError(f"sample draw of magnitude {hi!r} overflows when squared")
     # only draws outside [_EXACT_LO, _EXACT_HI) need a patch; one min and
     # one max rule them out for the usual samples
@@ -346,8 +437,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         return out
 
     def G(x):
-        x = np.asarray(x, dtype=float)
-        return np.einsum("nmk,k->mn", xi_sq, x * x) - b
+        return _einsum_G(xi_sq, np.asarray(x, dtype=float), b)
 
     def grad_G_cols(x, rows, cols):
         # columns of squared draws at the requested (m, n) pairs, times 2x
@@ -372,12 +462,34 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         W = np.sqrt(np.einsum("nmk->nm", xi_sq).max(axis=1))
         np.multiply(W, 1.0 + g, out=W)
         np.maximum(W, _ENV_LO, out=W)
-        h = 8.0 * K * (_SUBNORMAL * (hi * hi) + _SUBNORMAL * (1.0 + b))
+        h = 8.0 * K * (_SUBNORMAL * s_max + _SUBNORMAL * (1.0 + b))
         slack = 3.0 * (g * b + h)
         if W.max() > _ENV_HI:
             W = None
 
-    def violations_along(x, d, Z, alphas, cap):
+    def G_step(x, d, alpha, Z, exact_cols):
+        # G at the trial point on exact_cols and on every column whose
+        # bound (see _step_bounds) is not below zero, the bound elsewhere
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(d, dtype=float)
+        y = x + alpha * d
+        z = Z.max(axis=0)
+        step = alpha * float(np.abs(d).max())
+        if not (step >= _ENV_LO and z.max() + b <= _SAFE_VAL):
+            return _einsum_G(xi_sq, y, b), None
+        with np.errstate(over="ignore"):
+            bound = _step_bounds(z, step, W, b, slack)
+        bounded = bound < 0.0
+        bounded[exact_cols] = False
+        if not bounded.any():
+            return _einsum_G(xi_sq, y, b), None
+        cols = np.flatnonzero(~bounded)
+        out = np.empty((M, N))
+        out[:] = bound
+        out[:, cols] = _einsum_G(xi_sq, y, b, cols)
+        return out, bounded
+
+    def violations_along(x, d, Z, alphas, cap, bounded=None):
         # The steps are copied once, as rows (1, a, a^2) of step powers, so
         # a caller that changes its array later changes no bound.
         powers = np.empty((len(alphas), 3))
@@ -389,8 +501,13 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         np.multiply(a, a, out=powers[:, 2])
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
-        if not x @ x + d @ d <= _SAFE_VAL:
+        q = float(x @ x + d @ d)
+        if not q <= _SAFE_VAL:
             return None
+        # The model's products are at most s_max*q in magnitude, s_max the
+        # largest sample, so below that no product overflows; above it one
+        # may, and gives inf or nan, which the model turns into None.
+        quiet = _QUIET if s_max * q <= _SAFE_VAL else np.errstate(over="ignore", invalid="ignore")
         P = len(a)
         if not P:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
@@ -402,7 +519,8 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         dmax = 0.0 if W is None else float(np.abs(d).max())
         if not (dmax >= _ENV_LO and Z.max() + b <= _SAFE_VAL):
             # without the envelope: every column, at every step
-            model = _column_model(xi_sq, Z, None, xd, b)
+            with quiet:
+                model = _column_model(xi_sq, _values_on(xi_sq, b, x, Z, bounded, None), None, xd, b)
             return None if model is None else count(*model, None, powers)
         # S, the columns the model covers, is the first ``done`` columns of
         # ``order``, by increasing envelope threshold; ``unsafe[j]`` columns
@@ -435,7 +553,9 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
                     # S gains order[done:size]; every column at once is
                     # read in place
                     cols = None if size == N and not done else order[done:size]
-                    model = _column_model(xi_sq, Z, cols, xd, b)
+                    with quiet:
+                        model = _column_model(xi_sq, _values_on(xi_sq, b, x, Z, bounded, cols),
+                                              cols, xd, b)
                     if model is None:
                         return None
                     models.append((*model, theta if cols is None else theta[cols]))
@@ -495,6 +615,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         f=f, grad_f=grad_f, hess_lagrangian=hess_lagrangian,
         G=G, grad_G_cols=grad_G_cols,
         f_batch=f_batch, G_batch=G_batch, violations_along=violations_along,
+        G_step=None if W is None or b > _SAFE_VAL else G_step,
         xi_sq=xi_sq, xi_signs=signs, xi_patch_at=patch_at, xi_patch_mag=patch_mag,
         b=float(b),
         lambda1=float(lambda1), lambda2=float(lambda2), seed=seed,

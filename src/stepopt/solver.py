@@ -10,7 +10,13 @@ the current residual norm.  Problems that model G along the search ray
 (``ProblemInstance.violations_along``) let that search count violations
 without evaluating G at every trial step: the model bounds the count at
 every trial step against the search's cap, and G decides only the steps
-whose bounds straddle it.
+whose bounds straddle it.  Problems that bound G after a step
+(``ProblemInstance.G_step``) let the iteration evaluate G at a new iterate
+only on the columns where the multipliers are nonzero and those the bound
+cannot prove negative.  The other columns hold the bound; they are
+negative with it as with G, so the clamp columns, the active set, the
+residual and the trace come out the same, and the line search gets their
+mask, so that its model evaluates G wherever it reads values there.
 """
 from __future__ import annotations
 
@@ -225,7 +231,8 @@ def fallback_direction(F: np.ndarray) -> np.ndarray:
 
 def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.ndarray,
                             s: int, gamma: float, Z: np.ndarray,
-                            full_step_first: bool = False) -> tuple[int, float, bool]:
+                            full_step_first: bool = False,
+                            bounded: Optional[np.ndarray] = None) -> tuple[int, float, bool]:
     """Smallest backtracking exponent keeping violations within (gamma+1)*s.
 
     Returns (t, alpha, stalled) where alpha is the trial step ``_STEPS[t]``;
@@ -238,6 +245,9 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
     the ray (``Z`` is G(x), read only by the model), and G is called only
     for a step whose bounds straddle the cap.  The hook is given the cap,
     so that it tightens its bounds only where the cap leaves a step open.
+    ``bounded`` is the mask of the columns where ``Z`` holds only a bound,
+    as ``problem.G_step`` returned it; it goes to the hook when it is not
+    None.
     ``full_step_first`` tries the full step with G before building the
     model, which pays off when the full step is likely to pass.  Without
     the hook every trial step goes to G.  The result equals that of
@@ -263,7 +273,8 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         start = 1
     bounds = None
     if problem.violations_along is not None:
-        bounds = problem.violations_along(x, d_x, Z, steps[start:], bound)
+        extra = {} if bounded is None else {"bounded": bounded}
+        bounds = problem.violations_along(x, d_x, Z, steps[start:], bound, **extra)
     if bounds is None:
         n = steps.size - start
         bounds = np.zeros(n, dtype=np.intp), np.full(n, np.inf)
@@ -292,7 +303,14 @@ def solve(problem: ProblemInstance, config: SolverConfig,
 
     Each iterate evaluates G once and forms G(x) + tau*W once, for the
     clamp columns and the active set V alike; the gradient columns of V
-    are computed once too, for the residual and the Newton step.  After a
+    are computed once too, for the residual and the Newton step.  The
+    start evaluates all of G.  After a step, a problem with ``G_step``
+    evaluates G only on the columns where W is nonzero and on those its
+    bound cannot prove negative, and keeps the bound on the rest, where W
+    is zero.  Those columns are negative in G(x) + tau*W with the bound or
+    with G, so no clamp column, active set, residual or trace count
+    changes; the search reads the bound through the model's envelope, and
+    the final check evaluates all of G when any bound is left.  After a
     zero step that leaves the bytes of x unchanged, G(x), V, its gradient
     columns and the residual norm of the previous iterate stand, and only
     the stacked residual is rebuilt, when another iteration needs it.  The
@@ -317,8 +335,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(W))):
             raise ValueError("start has non-finite entries")
 
-    def refresh(x, W):
-        Z = problem.G(x)
+    def refresh(x, W, Z):
         # W is finite, so lam is finite unless Z is not or the sum
         # overflows; both raise SolverAbort, which a warning would only echo
         with np.errstate(over="ignore", invalid="ignore"):
@@ -331,9 +348,10 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         V = active_set(lam, select_candidate_columns(lam, s))
         Gv = problem.grad_G_cols(x, V.rows, V.cols) if len(V) else None
         F = stationarity_residual(problem, point, V, Z=Z, Gv=Gv)
-        return Z, V, Gv, F, float(np.linalg.norm(F))
+        return V, Gv, F, float(np.linalg.norm(F))
 
-    Z, V, Gv, F, res = refresh(x, W)
+    Z, bounded = problem.G(x), None
+    V, Gv, F, res = refresh(x, W, Z)
     mu = min(_MU_BAR, _RHO * res)
 
     trace: list[IterationRecord] = []
@@ -364,7 +382,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             kind = "fallback"
 
         t, alpha, stalled = feasibility_line_search(
-            problem, x, d[:K], s, gamma, Z, full_step_first=full_step_first)
+            problem, x, d[:K], s, gamma, Z, full_step_first=full_step_first, bounded=bounded)
         stall_streak = stall_streak + 1 if stalled else 0
         full_step_first = alpha == 1.0
 
@@ -388,7 +406,12 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         # and res stand.  The residual carries those zeros into the next
         # direction, so it is rebuilt if the loop goes on.
         if alpha != 0.0 or x_next.tobytes() != x.tobytes():
-            Z, V, Gv, F, res = refresh(x_next, W)
+            if problem.G_step is None:
+                Z = problem.G(x_next)
+            else:
+                # exact where W is nonzero, so that lam is exact there
+                Z, bounded = problem.G_step(x, d[:K], alpha, Z, np.flatnonzero(W.any(axis=0)))
+            V, Gv, F, res = refresh(x_next, W, Z)
         else:
             F = None
         x = x_next
@@ -396,7 +419,9 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         it += 1
 
     final_pt = PrimalDualPoint(x, W)
-    report = check_tau_stationary(problem, final_pt, tau, s, tol=tol, Z=Z)
+    # the report reads every column of G(x)
+    report = check_tau_stationary(problem, final_pt, tau, s, tol=tol,
+                                  Z=Z if bounded is None else None)
     return SolveResult(point=final_pt, status=status, iterations=it,
                        final_residual=res, trace=tuple(trace),
                        final_report=report, active=V)

@@ -72,9 +72,10 @@ def recorded_searches(problem, config, monkeypatch):
     calls = []
     plain = solver_mod.feasibility_line_search
 
-    def recorder(problem, x, d_x, s, gamma, Z, full_step_first=False):
+    def recorder(problem, x, d_x, s, gamma, Z, full_step_first=False, bounded=None):
         calls.append((x.copy(), d_x.copy(), s, gamma, full_step_first))
-        return plain(problem, x, d_x, s, gamma, Z, full_step_first=full_step_first)
+        return plain(problem, x, d_x, s, gamma, Z, full_step_first=full_step_first,
+                     bounded=bounded)
 
     monkeypatch.setattr(solver_mod, "feasibility_line_search", recorder)
     solve(problem, config)
@@ -131,14 +132,29 @@ def test_solve_with_the_model_equals_solve_without(K, M, N, b, alpha):
 
 def test_wide_solve_evaluates_G_once_per_iterate():
     # No search of these solves straddles the cap, so G runs only where
-    # an iterate is refreshed: once at the start and once after each
-    # nonzero step.  The line searches decide every step from the model, a
-    # zero step keeps the last G, and the final check reuses it too.
+    # an iterate is refreshed: in full at the start, through G_step after
+    # each nonzero step, and in full once more for the final check when
+    # the last refresh left columns bounded.  The line searches decide
+    # every step from the model, a zero step keeps the last G, and the
+    # final check reuses it when every column is exact.
+    partial = 0
     for seed in range(6):
         problem, calls = counting(make_norm_opt(50, 20, 200, b=40.0, seed=seed))
+        refreshed = []
+        G_step = problem.G_step
+
+        def counted_step(*args):
+            out = G_step(*args)
+            refreshed.append(out[1])
+            return out
+
+        problem = dataclasses.replace(problem, G_step=counted_step)
         s = math.ceil(0.05 * 200)
         res = solve(problem, SolverConfig(s=s, gamma=gamma_for(0.05, s), max_it=30))
-        assert calls[0] == 1 + sum(rec.step > 0 for rec in res.trace)
+        assert len(refreshed) == sum(rec.step > 0 for rec in res.trace)
+        assert calls[0] == 1 + (bool(refreshed) and refreshed[-1] is not None)
+        partial += sum(bounded is not None for bounded in refreshed)
+    assert partial > 0
 
 
 @pytest.mark.parametrize("pi,t_max", [(0.85, 50), (0.5, 10), (0.95, 3), (0.85, 1), (0.85, 0)])
@@ -427,6 +443,27 @@ def test_model_gives_way_to_the_plain_loop_on_huge_directions(monkeypatch):
     # G values near overflow: the model declines, though G is still finite
     huge = make_norm_opt(5, 2, 30, b=1e301, seed=3)
     assert huge.violations_along(x, np.ones(5), huge.G(x), steps, 1.5) is None
+
+
+def test_model_and_step_bounds_decline_overflowing_products_without_a_warning():
+    # Huge samples times a direction that passes the |x|^2 + |d|^2 check:
+    # the model's products overflow, and so does the bound of G_step at a
+    # step where G itself is still finite.  Both give way, the model with
+    # None and G_step with G, and the suite turns a RuntimeWarning into an
+    # error, so none may reach the caller.
+    rng = np.random.default_rng(0)
+    problem = problems_mod._build_norm_opt(rng.standard_normal((400, 4, 30)) * 1e79, 9.7e-55,
+                                           0.5, 0.5, None)
+    x = np.full(30, 1e-90)
+    Z = problem.G(x)
+    assert np.isfinite(Z).all()
+    assert problem.violations_along(x, np.full(30, 1e76), Z, solver_mod._STEPS, 10) is None
+    d = np.zeros(30)
+    d[0] = 1e76
+    want = problem.G(x + 0.02 * d)
+    assert np.isfinite(want).all()
+    got, bounded = problem.G_step(x, d, 0.02, Z, np.empty(0, dtype=np.intp))
+    assert bounded is None and got.tobytes() == want.tobytes()
 
 
 def exp_problem():

@@ -304,11 +304,11 @@ class TestContract:
         for name in ("grad_G_cols", "hess_lagrangian", "f_batch", "G_batch"):
             with pytest.raises(TypeError, match=name):
                 ProblemInstance(**{k: v for k, v in fields.items() if k != name})
-        # the line-search model is the one optional evaluator
+        # the line-search model and the step evaluator are the optional ones
         optional = [f.name for f in dataclasses.fields(ProblemInstance)
                     if f.default is not dataclasses.MISSING]
-        assert optional == ["violations_along"]
-        ProblemInstance(**{k: v for k, v in fields.items() if k != "violations_along"})
+        assert optional == ["violations_along", "G_step"]
+        ProblemInstance(**{k: v for k, v in fields.items() if k not in optional})
 
     def test_scalar_callbacks_are_rejected(self):
         scalar = dict(instance_fields(make_counterexample()),

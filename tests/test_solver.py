@@ -166,7 +166,7 @@ def test_config_defaults():
     assert not steps.flags.writeable
     assert steps.tobytes() == np.array(references.steps(0.85, 50)).tobytes()
     assert list(inspect.signature(feasibility_line_search).parameters) == [
-        "problem", "x", "d_x", "s", "gamma", "Z", "full_step_first"]
+        "problem", "x", "d_x", "s", "gamma", "Z", "full_step_first", "bounded"]
 
 
 def test_config_is_frozen():
@@ -403,7 +403,8 @@ def test_multiplier_update_matches_the_stacked_update(M, N, data):
         patch.setattr(solver_mod, "newton_direction", newton)
         patch.setattr(solver_mod, "fallback_direction", fallback)
         patch.setattr(solver_mod, "feasibility_line_search",
-                      lambda problem, x, d_x, s, gamma, Z, full_step_first=False: (0, alpha, False))
+                      lambda problem, x, d_x, s, gamma, Z, full_step_first=False, bounded=None:
+                      (0, alpha, False))
         res = solve(problem, SolverConfig(s=1, max_it=1), start)
     if not seen:  # converged at the start
         return

@@ -5,7 +5,7 @@
 
 Run from anywhere; "this tree" is the checkout that holds this script,
 uncommitted changes included, and DIR is the baseline, for example the
-parent commit unpacked with ``git archive HEAD~1 | tar -x -C ../parent``.
+parent commit checked out with ``git worktree add ../parent HEAD~1``.
 The searches are recorded once, with this tree: every call that ``solve``
 makes to ``feasibility_line_search`` while it runs the bench pool of the
 workload and seed, as its point, direction, budget, slack and
@@ -16,7 +16,10 @@ thread: it builds the same pool with its own ``bench/workloads.py`` and
 ``src/stepopt``, evaluates ``Z = G(x)`` and runs each search once with a
 counting ``G``, for its result and its ``G`` calls, then times it
 repeatedly.  The two sides replay in turns, in alternating order, and a
-search's time is its fastest run on that side.
+search's time is its fastest run on that side.  The recording leaves out
+the mask of bounded columns that a search inside ``solve`` may get with
+its Z (see ``ProblemInstance.G_step``): every replay starts from the full
+G(x), so it times the searches, not the refresh that feeds them.
 
 Prints the median time per search on each side, over all searches and
 split by how they end: the full step accepted by ``G`` before any model
@@ -67,9 +70,9 @@ def record(workload: str, seed: int, limit) -> list[tuple]:
     plain = solver.feasibility_line_search
     calls = []
     for i, item in enumerate(items):
-        def recorder(problem, x, d_x, s, gamma, Z, full_step_first=False, i=i):
+        def recorder(problem, x, d_x, s, gamma, Z, full_step_first=False, i=i, **kw):
             calls.append((i, x.copy(), d_x.copy(), s, gamma, full_step_first))
-            return plain(problem, x, d_x, s, gamma, Z, full_step_first=full_step_first)
+            return plain(problem, x, d_x, s, gamma, Z, full_step_first=full_step_first, **kw)
 
         solver.feasibility_line_search = recorder
         try:
