@@ -13,13 +13,12 @@ the solver's line search can count violations without evaluating G.  On
 samples larger than one row block a per-column envelope, which reads no
 samples, clears most columns at most steps, and the exact model reads only
 the columns it cannot clear, adding more, smallest threshold first, only
-while the search's cap leaves a step open.  The model decides the steps a
-chunk at a time, largest first, and stops after the chunk that holds the
-first step its bounds accept.  On the same samples the instance bounds G
-after a step (``G_step``): a per-column bound of the same kind proves most
-columns negative at the new point, and G is evaluated only on the rest,
-with the same einsum over their gathered rows, so those columns are G bit
-for bit.
+while the search's cap leaves a step open.  The model bounds every trial
+step in one pass, counting each set of columns it adds at all steps at
+once.  On the same samples the instance bounds G after a step
+(``G_step``): a per-column bound of the same kind proves most columns
+negative at the new point, and G is evaluated only on the rest, with the
+same einsum over their gathered rows, so those columns are G bit for bit.
 """
 from __future__ import annotations
 
@@ -81,9 +80,8 @@ _DRAW_CHUNK_ENTRIES = 1 << 17
 _MODEL_BLOCK_BYTES = 1 << 18
 # The model evaluates about this many entries of G at a time, so that its
 # temporaries stay a few times this size: every trial step at once on small
-# problems, a few at a time on large ones.  It decides the steps in chunks
-# of that size, in order, and stops after the chunk that holds the first
-# step its bounds accept.
+# problems, a few at a time on large ones.  It caps only the size of those
+# temporaries; the bounds of every step come out the same at any value.
 _MODEL_CHUNK_ENTRIES = 1 << 14
 
 
@@ -110,11 +108,11 @@ class ProblemInstance:
     f_batch, G_batch : callable
         f and G at the rows of a (P, K) array: shapes (P,) and (P, M, N).
     violations_along : callable, optional
-        ``violations_along(x, d, Z, alphas, cap)``, with ``Z = G(x)``,
-        models G along the ray x + a*d at the non-increasing step sizes
-        ``alphas`` in [0, 1], and raises ValueError if a step is larger
-        than the one before it.  It returns None when it cannot, or integer
-        arrays (lo, hi), one entry per step, with
+        ``violations_along(x, d, Z, alphas, cap, bounded=None)``, with
+        ``Z = G(x)``, models G along the ray x + a*d at the non-increasing
+        step sizes ``alphas`` in [0, 1], and raises ValueError if a step is
+        larger than the one before it.  It returns None when it cannot, or
+        integer arrays (lo, hi), one entry per step, with
         ``lo <= step_norm(G(x + a*d)) <= hi`` at each step a.  The bounds
         are exact statements about G as evaluated in floating point at the
         trial point ``x + a * d``, not about its exact value, so a line
@@ -124,10 +122,11 @@ class ProblemInstance:
         tight its bounds need to be: a search reads them in order up to the
         first step with ``hi <= cap``, and the hook may leave any later
         step at (0, N).  The hook must describe this instance's own G, and
-        reads ``alphas`` only when it is called.  A problem that provides
-        ``G_step`` also takes the keyword ``bounded``, the mask that
-        ``G_step`` returned with Z: the hook may read Z as an upper bound on
-        those columns, and it evaluates G there before it uses their values.
+        reads ``alphas`` only when it is called.  Every hook takes the
+        keyword ``bounded``: None when Z is G(x) on every column, else the
+        mask that ``G_step`` returned with Z.  The hook may read Z as an
+        upper bound on those columns, and it evaluates G there before it
+        uses their values.
     G_step : callable, optional
         ``G_step(x, d, alpha, Z, exact_cols)``, with Z = G(x), or Z from an
         earlier ``G_step`` call, gives ``(G(y), bounded)`` at the trial point
@@ -501,7 +500,9 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         np.multiply(a, a, out=powers[:, 2])
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
-        q = float(x @ x + d @ d)
+        # vdot, unlike matmul and dot, gives inf on overflow without a
+        # warning, and the sum of two Python floats does too
+        q = float(np.vdot(x, x)) + float(np.vdot(d, d))
         if not q <= _SAFE_VAL:
             return None
         # The model's products are at most s_max*q in magnitude, s_max the
@@ -532,57 +533,39 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         order = order[np.argsort(theta[order])]
         unsafe = np.searchsorted(theta[order], a, side="right")
         lo = np.zeros(P, dtype=np.intp)
-        hi = np.full(P, N, dtype=np.intp)
         modelled = np.zeros(P, dtype=np.intp)
-        models = []
         done = 0
-
-        def add(model, first, last):
-            part_lo, part_hi = count(*model, powers[first:last])
-            lo[first:first + len(part_lo)] += part_lo
-            modelled[first:first + len(part_hi)] += part_hi
-
         size = int(unsafe[-1])
-        first = 0
-        while first < P:
-            last = min(P, first + max(1, _MODEL_CHUNK_ENTRIES // (M * max(size, 1))))
-            for model in models:
-                add(model, first, last)
-            while True:
-                if size > done:
-                    # S gains order[done:size]; every column at once is
-                    # read in place
-                    cols = None if size == N and not done else order[done:size]
-                    with quiet:
-                        model = _column_model(xi_sq, _values_on(xi_sq, b, x, Z, bounded, cols),
-                                              cols, xd, b)
-                    if model is None:
-                        return None
-                    models.append((*model, theta if cols is None else theta[cols]))
-                    add(models[-1], first, last)
-                    done = size
-                outside = np.maximum(unsafe[first:last] - done, 0)
-                top = modelled[first:last] + outside
-                # The search ends at the first step whose bounds accept it.
-                # Before it, a step whose bounds straddle the cap while
-                # columns outside S are uncleared grows S, smallest
-                # thresholds first.  The steps do not increase, so every
-                # step before the first such one is rejected by lo alone.
-                # At least cap + 1 - lo more violators reject it, and S at
-                # least doubles, so that a loose envelope costs a few
-                # rounds, not one per handful of columns.
-                sure = np.flatnonzero(top <= cap)
-                stop = int(sure[0]) if sure.size else last - first
-                open_ = np.flatnonzero((lo[first:first + stop] <= cap) & (outside[:stop] > 0))
-                if not open_.size:
-                    break
-                j = first + int(open_[0])
-                size = min(int(unsafe[j]), done + max(math.floor(cap) + 1 - int(lo[j]), done))
-            hi[first:last] = top
-            if sure.size:
-                break
-            first = last
-        return lo, hi
+        while True:
+            if size > done:
+                # S gains order[done:size]; every column at once is read in
+                # place
+                cols = None if size == N and not done else order[done:size]
+                with quiet:
+                    model = _column_model(xi_sq, _values_on(xi_sq, b, x, Z, bounded, cols),
+                                          cols, xd, b)
+                if model is None:
+                    return None
+                part_lo, part_hi = count(*model, theta if cols is None else theta[cols], powers)
+                lo[:len(part_lo)] += part_lo
+                modelled[:len(part_hi)] += part_hi
+                done = size
+            outside = np.maximum(unsafe - done, 0)
+            hi = modelled + outside
+            # The search ends at the first step whose bounds accept it.
+            # Before it, a step whose bounds straddle the cap while columns
+            # outside S are uncleared grows S, smallest thresholds first.
+            # The steps do not increase, so every step before the first such
+            # one is rejected by lo alone.  At least cap + 1 - lo more
+            # violators reject it, and S at least doubles, so that a loose
+            # envelope costs a few rounds, not one per handful of columns.
+            sure = np.flatnonzero(hi <= cap)
+            stop = int(sure[0]) if sure.size else P
+            open_ = np.flatnonzero((lo[:stop] <= cap) & (outside[:stop] > 0))
+            if not open_.size:
+                return lo, hi
+            j = int(open_[0])
+            size = min(int(unsafe[j]), done + max(math.floor(cap) + 1 - int(lo[j]), done))
 
     def count(rows, bands, clear, powers):
         # The model's bounds (lo, hi) over one set of columns at the steps

@@ -246,8 +246,7 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
     for a step whose bounds straddle the cap.  The hook is given the cap,
     so that it tightens its bounds only where the cap leaves a step open.
     ``bounded`` is the mask of the columns where ``Z`` holds only a bound,
-    as ``problem.G_step`` returned it; it goes to the hook when it is not
-    None.
+    as ``problem.G_step`` returned it, or None; it goes to the hook as is.
     ``full_step_first`` tries the full step with G before building the
     model, which pays off when the full step is likely to pass.  Without
     the hook every trial step goes to G.  The result equals that of
@@ -273,8 +272,7 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         start = 1
     bounds = None
     if problem.violations_along is not None:
-        extra = {} if bounded is None else {"bounded": bounded}
-        bounds = problem.violations_along(x, d_x, Z, steps[start:], bound, **extra)
+        bounds = problem.violations_along(x, d_x, Z, steps[start:], bound, bounded=bounded)
     if bounds is None:
         n = steps.size - start
         bounds = np.zeros(n, dtype=np.intp), np.full(n, np.inf)

@@ -175,10 +175,10 @@ def test_model_matches_plain_loop_on_random_directions(pi, t_max, monkeypatch):
 @pytest.mark.parametrize("per_chunk", [1, 6, 51])
 @pytest.mark.parametrize("K,M,N,b,alpha", [(10, 1, 100, 14.0, 0.05), (50, 20, 200, 40.0, 0.05)])
 def test_chunked_decision_matches_the_step_loop(K, M, N, b, alpha, per_chunk, monkeypatch):
-    # The model evaluates its steps in chunks of about per_chunk * N / |S|
-    # steps, per_chunk when it models every column, and with its envelope
-    # it decides them chunk by chunk; the reference walks the same model
-    # bounds one step at a time.
+    # count evaluates the model over a set of L columns in chunks of
+    # about per_chunk * N / L steps, per_chunk when it models every
+    # column, which caps the size of its temporaries; the reference walks
+    # the same model bounds one step at a time.
     # Both must call G on the same steps, with and without the model,
     # wherever the chunks begin, and the model must reject, accept or
     # leave open each step up to the decision as it does in one chunk.
@@ -249,9 +249,9 @@ BLOCK_SHAPES = [(2, 100), (3, 700)]
        b=st.sampled_from([20.0, 40.0, 80.0]), chunk=st.integers(1, 20),
        cap=st.sampled_from([0.0, 5.0, 50.0, 300.0]))
 def test_model_bounds_hold_in_every_chunk(shape, seed, point, scale, b, chunk, cap):
-    # The model decides its steps about ``chunk`` * N / |S| at a time,
-    # largest first, and stops after the chunk that holds the first step
-    # its bounds accept.  Every step must still be bounded.
+    # count evaluates the model over a set of L columns about ``chunk`` *
+    # N / L steps at a time, which caps the size of its temporaries.
+    # Every step must still be bounded.
     M, N = shape
     assert M * N < BLOCK_ROWS or (M * N > 2 * BLOCK_ROWS and M * N % BLOCK_ROWS)
     problem = make_norm_opt(BLOCK_K, M, N, b=b, seed=seed)
@@ -265,6 +265,32 @@ def test_model_bounds_hold_in_every_chunk(shape, seed, point, scale, b, chunk, c
     assert lo.size == hi.size == steps.size
     for a, l, h in zip(steps, lo, hi):
         assert l <= step_norm(problem.G(x + a * d)) <= h
+
+
+def test_model_bounds_do_not_depend_on_the_chunk_size():
+    # The chunk size caps only the size of count's temporaries: with the
+    # envelope, at every step and cap, (lo, hi) come out the same at the
+    # default and at one step per chunk of every column.  Half the
+    # directions are random, half lead back towards x = 0, where the
+    # bounds accept a large step and the steps after it must be bounded
+    # too.
+    K, M, N = ENV_DIMS
+    rng = np.random.default_rng(17)
+    steps = solver_mod._STEPS
+    for seed in range(3):
+        problem = make_norm_opt(K, M, N, b=40.0, seed=seed)
+        for _ in range(10):
+            x = rng.uniform(-1.5, 1.5, K)
+            Z = problem.G(x)
+            random = rng.standard_normal(K) * rng.choice([0.3, 1.0, 3.0])
+            back = -x * rng.uniform(0.2, 1.0) + 0.1 * rng.standard_normal(K)
+            for d in (random, back):
+                for cap in (5.0, 50.0):
+                    want = problem.violations_along(x, d, Z, steps, cap)
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(problems_mod, "_MODEL_CHUNK_ENTRIES", M * N)
+                        got = problem.violations_along(x, d, Z, steps, cap)
+                    assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 
 def test_model_keeps_its_own_copy_of_the_steps():
@@ -434,8 +460,9 @@ def test_model_gives_way_to_the_plain_loop_on_huge_directions(monkeypatch):
     steps = schedule(monkeypatch, 0.85, 20)
     for d in (np.full(5, 1e200), np.array([np.nan, 0.0, 0.0, 0.0, 0.0])):
         counted, calls = counting(problem)
+        assert problem.violations_along(x, d, Z, steps, 1.5) is None
+        # G itself overflows at the trial points of the huge direction
         with np.errstate(over="ignore", invalid="ignore"):
-            assert problem.violations_along(x, d, Z, steps, 1.5) is None
             got = feasibility_line_search(counted, x, d, 1, 0.5, Z=Z)
         # every trial point has a non-finite G and counts as rejected
         assert got == (20, 0.0, True)
@@ -497,7 +524,7 @@ ENV_DIMS = (40, 3, 700)
 
 def with_reference_model(problem):
     """The same instance with the column-wise model of ``references`` as its hook."""
-    def hook(x, d, Z, alphas, cap):
+    def hook(x, d, Z, alphas, cap, bounded=None):
         return references.violation_model(problem, x, d, Z, alphas)
 
     return dataclasses.replace(problem, violations_along=hook)
