@@ -6,7 +6,7 @@ package provides the projection geometry of that set, stationarity checks,
 a smoothing Newton solver, sample-size bounds for the underlying chance
 constraint, and reference baselines.
 """
-from .baselines import BipModel, GridSpec, build_bip_model, export_bip, grid_search
+from .baselines import GridSpec, export_bip, grid_search
 from .bounds import (
     dkw_sample_size,
     feasibility_confidence,

@@ -8,7 +8,9 @@ external mixed-integer solvers; nothing in this package consumes the file.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +19,12 @@ from .problems import NormOptInstance, ProblemInstance
 __all__ = [
     "GridSpec",
     "grid_search",
-    "BipModel",
-    "build_bip_model",
     "export_bip",
 ]
 
 GRID_CAP = 10_000_000
 CHUNK = 65_536
-# the big-M constant of build_bip_model and export_bip
+# the big-M constant of export_bip
 _DEFAULT_BIG_M = 10_000.0
 
 
@@ -99,10 +99,6 @@ def grid_search(problem: ProblemInstance, s: int, grid: GridSpec):
     return best_x, best_f
 
 
-def _num(v) -> str:
-    return repr(float(v))
-
-
 def _wrap(terms: list[str], joiner: str = " + ", per_line: int = 6,
           indent: str = "   ") -> str:
     lines = [joiner.join(terms[i:i + per_line])
@@ -110,92 +106,58 @@ def _wrap(terms: list[str], joiner: str = " + ", per_line: int = 6,
     return ("\n" + indent).join(lines)
 
 
-@dataclass(frozen=True)
-class BipModel:
-    """Mixed-binary big-M reformulation of a sampled norm-design instance.
+def _lp_text(xi_sq: np.ndarray, s: int, b: float, big_M: float, seed: int | None) -> str:
+    """The big-M model of the samples ``xi_sq`` (N, M, K) as LP-format text.
 
     One quadratic row per (scenario row, column) pair plus one cardinality
     row; y_n = 1 forces column n to satisfy its constraints, and at least
-    N - s columns must be enforced.
+    N - s columns must be enforced.  Numbers are written as ``repr`` of
+    Python floats, so the text round-trips every coefficient exactly.  The
+    K quadratic terms of a row share one wrapped template, filled from the
+    flattened samples.
     """
-
-    K: int
-    M: int
-    N: int
-    s: int
-    b: float
-    big_M: np.ndarray
-    xi_sq: np.ndarray
-    seed: int | None = None
-    constraint_names: tuple[str, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        big_M = np.asarray(self.big_M, dtype=float)
-        if big_M.shape != (self.N,) or not np.all(big_M > 0):
-            raise ValueError("big_M must be a length-N vector of positive reals")
-        object.__setattr__(self, "big_M", big_M)
-        if self.xi_sq.shape != (self.N, self.M, self.K):
-            raise ValueError("xi_sq must have shape (N, M, K)")
-        if not 0 <= self.s <= self.N:
-            raise ValueError(f"budget s must be in [0, N], got {self.s}")
-        names = ["card"] + [f"g{m + 1}_{n + 1}"
-                            for n in range(self.N) for m in range(self.M)]
-        object.__setattr__(self, "constraint_names", tuple(names))
-
-    def to_lp(self) -> str:
-        """Render the model as deterministic LP-format text.
-
-        Numbers are written as ``repr`` of Python floats, so the text
-        round-trips every coefficient exactly.  The K quadratic terms of a
-        row share one wrapped template, filled from the flattened samples;
-        the big-M and right-hand-side terms are formatted once per column.
-        """
-        K, M, N = self.K, self.M, self.N
-        head = [
-            "\\ mixed-binary reformulation of the sampled norm-design program",
-            f"\\ K={K} M={M} N={N} s={self.s} b={_num(self.b)}"
-            + (f" seed={self.seed}" if self.seed is not None else ""),
-        ]
-        obj = _wrap([f"- x{k + 1}" for k in range(K)], joiner=" ")
-        rows = [" card: " + _wrap([f"y{n + 1}" for n in range(N)])
-                + f" >= {N - self.s}"]
-        quad = _wrap([f"{{}} x{k + 1} ^2" for k in range(K)]).format
-        coef = list(map(repr, np.asarray(self.xi_sq, dtype=float).ravel().tolist()))
-        b = float(self.b)
-        for n, big in enumerate(self.big_M.tolist()):
-            tail = f" ] + {big!r} y{n + 1} <= {big + b!r}"
-            for m in range(M):
-                i = (n * M + m) * K
-                rows.append(f" g{m + 1}_{n + 1}: [ " + quad(*coef[i:i + K]) + tail)
-        bounds = [f" x{k + 1} >= 0" for k in range(K)]
-        names_y = [f"y{n + 1}" for n in range(N)]
-        binary = [" " + " ".join(names_y[i:i + 10])
-                  for i in range(0, N, 10)]
-        return "\n".join(
-            head
-            + ["Minimize", " obj: " + obj, "Subject To"]
-            + rows
-            + ["Bounds"] + bounds
-            + ["Binary"] + binary
-            + ["End", ""])
-
-
-def build_bip_model(instance: NormOptInstance, s: int,
-                    big_M: float = _DEFAULT_BIG_M) -> BipModel:
-    """Assemble the big-M model for a norm-design instance at budget s."""
-    if not isinstance(instance, NormOptInstance):
-        raise TypeError("big-M export is defined for norm-design instances only")
-    if not big_M > 0:
-        raise ValueError(f"big_M must be positive, got {big_M}")
-    return BipModel(K=instance.K, M=instance.M, N=instance.N, s=s,
-                    b=instance.b, big_M=np.full(instance.N, float(big_M)),
-                    xi_sq=instance.xi_sq, seed=instance.seed)
+    N, M, K = xi_sq.shape
+    b, big_M = float(b), float(big_M)
+    head = [
+        "\\ mixed-binary reformulation of the sampled norm-design program",
+        f"\\ K={K} M={M} N={N} s={s} b={b!r}" + (f" seed={seed}" if seed is not None else ""),
+    ]
+    obj = _wrap([f"- x{k + 1}" for k in range(K)], joiner=" ")
+    rows = [" card: " + _wrap([f"y{n + 1}" for n in range(N)]) + f" >= {N - s}"]
+    quad = _wrap([f"{{}} x{k + 1} ^2" for k in range(K)]).format
+    coef = list(map(repr, np.asarray(xi_sq, dtype=float).ravel().tolist()))
+    for n in range(N):
+        tail = f" ] + {big_M!r} y{n + 1} <= {big_M + b!r}"
+        for m in range(M):
+            i = (n * M + m) * K
+            rows.append(f" g{m + 1}_{n + 1}: [ " + quad(*coef[i:i + K]) + tail)
+    bounds = [f" x{k + 1} >= 0" for k in range(K)]
+    names_y = [f"y{n + 1}" for n in range(N)]
+    binary = [" " + " ".join(names_y[i:i + 10]) for i in range(0, N, 10)]
+    return "\n".join(
+        head
+        + ["Minimize", " obj: " + obj, "Subject To"]
+        + rows
+        + ["Bounds"] + bounds
+        + ["Binary"] + binary
+        + ["End", ""])
 
 
 def export_bip(instance: NormOptInstance, s: int, path,
                big_M: float = _DEFAULT_BIG_M) -> str:
-    """Write the LP-format big-M model to path and return the path."""
-    model = build_bip_model(instance, s, big_M)
+    """Write the LP-format big-M model of ``instance`` at budget s to path.
+
+    Returns the path.  ``s`` must be an integer in [0, N], and ``big_M`` a
+    positive, finite enforcement constant whose sum with the threshold b
+    is finite.
+    """
+    if not isinstance(instance, NormOptInstance):
+        raise TypeError("big-M export is defined for norm-design instances only")
+    if not isinstance(s, numbers.Integral) or isinstance(s, bool) or not 0 <= s <= instance.N:
+        raise ValueError(f"budget s must be an integer in [0, N={instance.N}], got {s!r}")
+    if not 0 < big_M < math.inf or not math.isfinite(float(big_M) + float(instance.b)):
+        raise ValueError(f"big_M must be positive and finite, and so must big_M + b,"
+                         f" got {big_M!r}")
     with open(path, "w") as fh:
-        fh.write(model.to_lp())
+        fh.write(_lp_text(instance.xi_sq, s, instance.b, big_M, instance.seed))
     return str(path)

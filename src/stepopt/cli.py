@@ -460,7 +460,7 @@ def build_parser() -> CliParser:
                        description="Export a norm-design instance as an "
                                    "LP-format file for external MIP solvers.")
     add_instance_flags(p, with_preset=False)
-    p.add_argument("--big-M", dest="big_M", type=float, default=argparse.SUPPRESS,
+    p.add_argument("--big-M", dest="big_M", type=_positive_finite, default=argparse.SUPPRESS,
                    help="enforcement constant")
     p.add_argument("--out", required=True, metavar="FILE", help="output path")
     p.set_defaults(func=cmd_export_bip)

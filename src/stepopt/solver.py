@@ -198,9 +198,7 @@ def newton_direction(problem: ProblemInstance, point: PrimalDualPoint, V: Active
     if L:
         A[:K, K:] = Gv
         A[K:, :K] = Gv.T
-        # off the diagonal, -mu * 0.0 is -0.0 as in -mu * eye(L); a +0.0
-        # there can flip the sign of a zero in the solution
-        A[K:, K:] = -mu * 0.0
+        A[K:, K:] = 0.0
         A.ravel(order="F")[K * (n + 1)::n + 1] = -mu
     rhs = -F[:n]
     scale = np.abs(A).max()
@@ -308,10 +306,9 @@ def solve(problem: ProblemInstance, config: SolverConfig,
     is zero.  Those columns are negative in G(x) + tau*W with the bound or
     with G, so no clamp column, active set, residual or trace count
     changes; the search reads the bound through the model's envelope, and
-    the final check evaluates all of G when any bound is left.  After a
-    zero step that leaves the bytes of x unchanged, G(x), V, its gradient
-    columns and the residual norm of the previous iterate stand, and only
-    the stacked residual is rebuilt, when another iteration needs it.  The
+    the final check evaluates all of G when any bound is left.  A zero
+    step (a stalled search) leaves x and W as they are, so G(x), V, its
+    gradient columns and the residual stand, and only mu moves on.  The
     Newton and fallback directions read that residual rather than
     assembling it again, and both have the K + |V| entries [x; W on V].
     The identity block of the Jacobian gives the multipliers off V the
@@ -370,8 +367,6 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             break
 
         point = PrimalDualPoint(x, W)
-        if F is None:
-            F = stationarity_residual(problem, point, V, Z=Z, Gv=Gv)
         d, solvable = newton_direction(problem, point, V, mu, F, Gv)
         if solvable:
             kind = "newton"
@@ -390,29 +385,21 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             iter=it, residual=res, objective=problem.f(x),
             violations=violations, step=alpha, mu=mu, direction_kind=kind))
 
-        x_next = x + alpha * d[:K]
-        # one add per entry of W, on V and off it alike
-        dW = np.negative(W)
-        dW[V.rows, V.cols] = d[K:]
-        W += alpha * dW
-        if not (np.isfinite(x_next).all() and np.isfinite(W).all()):
-            raise SolverAbort(f"non-finite iterate at iteration {it}")
-
-        # A zero step that leaves the bytes of x leaves G(x) and the
-        # gradient columns, and changes W at most in the sign of a zero,
-        # which the comparisons and norms of refresh do not see: Z, V, Gv
-        # and res stand.  The residual carries those zeros into the next
-        # direction, so it is rebuilt if the loop goes on.
-        if alpha != 0.0 or x_next.tobytes() != x.tobytes():
+        if alpha != 0.0:
+            x_next = x + alpha * d[:K]
+            # one add per entry of W, on V and off it alike
+            dW = np.negative(W)
+            dW[V.rows, V.cols] = d[K:]
+            W += alpha * dW
+            if not (np.isfinite(x_next).all() and np.isfinite(W).all()):
+                raise SolverAbort(f"non-finite iterate at iteration {it}")
             if problem.G_step is None:
                 Z = problem.G(x_next)
             else:
                 # exact where W is nonzero, so that lam is exact there
                 Z, bounded = problem.G_step(x, d[:K], alpha, Z, np.flatnonzero(W.any(axis=0)))
-            V, Gv, F, res = refresh(x_next, W, Z)
-        else:
-            F = None
-        x = x_next
+            x = x_next
+            V, Gv, F, res = refresh(x, W, Z)
         mu = min(_NU * mu, _RHO * res)
         it += 1
 

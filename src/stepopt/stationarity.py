@@ -50,10 +50,6 @@ class PrimalDualPoint:
     x: np.ndarray
     W: np.ndarray
 
-    @staticmethod
-    def zeros(problem: ProblemInstance) -> "PrimalDualPoint":
-        return PrimalDualPoint(np.zeros(problem.K), np.zeros((problem.M, problem.N)))
-
 
 class ActiveSet:
     """Sorted collection of (row, col) positions in an M x N matrix.

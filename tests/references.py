@@ -67,26 +67,25 @@ def _num(v):
     return repr(float(v))
 
 
-def to_lp(model):
-    """LP text of a ``BipModel``, formatted one numpy scalar at a time."""
+def to_lp(xi_sq, s, b, big_M, seed):
+    """LP text of the big-M model, formatted one numpy scalar at a time."""
+    N, M, K = xi_sq.shape
     head = [
         "\\ mixed-binary reformulation of the sampled norm-design program",
-        f"\\ K={model.K} M={model.M} N={model.N} s={model.s} b={_num(model.b)}"
-        + (f" seed={model.seed}" if model.seed is not None else ""),
+        f"\\ K={K} M={M} N={N} s={s} b={_num(b)}"
+        + (f" seed={seed}" if seed is not None else ""),
     ]
-    obj = _wrap([f"- x{k + 1}" for k in range(model.K)], joiner=" ")
-    rows = [" card: " + _wrap([f"y{n + 1}" for n in range(model.N)])
-            + f" >= {model.N - model.s}"]
-    for n in range(model.N):
-        for m in range(model.M):
-            quad = _wrap([f"{_num(model.xi_sq[n, m, k])} x{k + 1} ^2"
-                          for k in range(model.K)])
+    obj = _wrap([f"- x{k + 1}" for k in range(K)], joiner=" ")
+    rows = [" card: " + _wrap([f"y{n + 1}" for n in range(N)]) + f" >= {N - s}"]
+    for n in range(N):
+        for m in range(M):
+            quad = _wrap([f"{_num(xi_sq[n, m, k])} x{k + 1} ^2" for k in range(K)])
             rows.append(
-                f" g{m + 1}_{n + 1}: [ {quad} ] + {_num(model.big_M[n])} y{n + 1}"
-                f" <= {_num(model.big_M[n] + model.b)}")
-    bounds = [f" x{k + 1} >= 0" for k in range(model.K)]
-    names_y = [f"y{n + 1}" for n in range(model.N)]
-    binary = [" " + " ".join(names_y[i:i + 10]) for i in range(0, model.N, 10)]
+                f" g{m + 1}_{n + 1}: [ {quad} ] + {_num(big_M)} y{n + 1}"
+                f" <= {_num(big_M + b)}")
+    bounds = [f" x{k + 1} >= 0" for k in range(K)]
+    names_y = [f"y{n + 1}" for n in range(N)]
+    binary = [" " + " ".join(names_y[i:i + 10]) for i in range(0, N, 10)]
     return "\n".join(
         head
         + ["Minimize", " obj: " + obj, "Subject To"]

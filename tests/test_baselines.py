@@ -1,14 +1,11 @@
 """Baselines tests: grid-search oracle and big-M LP export."""
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from stepopt.baselines import (
-    BipModel,
-    GridSpec,
-    build_bip_model,
-    export_bip,
-    grid_search,
-)
+from stepopt.baselines import GridSpec, _lp_text, export_bip, grid_search
 from stepopt.problems import ProblemInstance, make_counterexample, make_norm_opt
 
 import references
@@ -98,34 +95,30 @@ def test_grid_search_dimension_mismatch():
 
 # ------------------------------------------------------------- big-M export
 
-def test_bip_model_structure():
-    model = build_bip_model(make_norm_opt(2, 2, 3, b=5.0, seed=4), s=1)
-    assert len(model.constraint_names) == 2 * 3 + 1
-    assert model.constraint_names[0] == "card"
-    assert "g2_3" in model.constraint_names
-    text = model.to_lp()
+def exported(tmp_path, instance, s, **kwargs):
+    path = tmp_path / "model.lp"
+    assert export_bip(instance, s, path, **kwargs) == str(path)
+    return path.read_text()
+
+
+def test_bip_model_structure(tmp_path):
+    text = exported(tmp_path, make_norm_opt(2, 2, 3, b=5.0, seed=4), 1)
     assert text.count("\n g") == 6  # one row per (m, n) pair
+    assert " g2_3: [ " in text
     assert "card: y1 + y2 + y3 >= 2" in text
     assert text.endswith("End\n")
 
 
-def test_bip_smallest_instance():
-    model = build_bip_model(make_norm_opt(1, 1, 1, b=5.0, seed=2), s=0)
-    text = model.to_lp()
-    assert model.constraint_names == ("card", "g1_1")
+def test_bip_smallest_instance(tmp_path):
+    text = exported(tmp_path, make_norm_opt(1, 1, 1, b=5.0, seed=2), 0)
     assert "card: y1 >= 1" in text
     assert "^2 ] + 10000.0 y1 <= 10005.0" in text
     assert "x1 >= 0" in text
     assert "Binary\n y1\nEnd" in text
 
 
-def test_bip_constraint_names_are_not_an_argument():
-    model = dict(K=1, M=1, N=1, s=0, b=1.0, big_M=[5.0], xi_sq=np.ones((1, 1, 1)))
-    with pytest.raises(TypeError):
-        BipModel(**model, constraint_names=("mine",))
-    built = BipModel(**model)
-    assert built.constraint_names == ("card", "g1_1")
-    assert built.to_lp() == "\n".join([
+def test_lp_text_of_a_one_column_model():
+    assert _lp_text(np.ones((1, 1, 1)), 0, 1.0, 5.0, None) == "\n".join([
         "\\ mixed-binary reformulation of the sampled norm-design program",
         "\\ K=1 M=1 N=1 s=0 b=1.0",
         "Minimize", " obj: - x1", "Subject To",
@@ -139,7 +132,7 @@ def test_bip_export_is_deterministic(tmp_path):
     export_bip(instance, 1, p1)
     export_bip(instance, 1, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_text() == build_bip_model(instance, 1).to_lp()
+    assert p1.read_text() == references.to_lp(instance.xi_sq, 1, instance.b, 10000.0, 9)
 
 
 def test_bip_custom_big_m_in_rhs(tmp_path):
@@ -151,21 +144,54 @@ def test_bip_custom_big_m_in_rhs(tmp_path):
     assert "10000" not in text
 
 
-def test_bip_rejects_bad_inputs():
+def test_bip_rejects_bad_inputs(tmp_path):
     instance = make_norm_opt(1, 1, 2, b=3.0, seed=0)
+    path = tmp_path / "m.lp"
     with pytest.raises(TypeError):
-        build_bip_model(make_counterexample(), 1)
+        export_bip(make_counterexample(), 1, path)
     with pytest.raises(ValueError):
-        build_bip_model(instance, 1, big_M=0.0)
+        export_bip(instance, 1, path, big_M=0.0)
     with pytest.raises(ValueError):
-        build_bip_model(instance, 3)  # s > N
-    with pytest.raises(ValueError):
-        BipModel(K=1, M=1, N=2, s=1, b=3.0, big_M=np.ones(3),
-                 xi_sq=np.ones((2, 1, 1)))
+        export_bip(instance, 3, path)  # s > N
+    assert not path.exists()
 
 
-def test_bip_header_records_dimensions_and_seed():
-    text = build_bip_model(make_norm_opt(2, 1, 3, b=7.5, seed=6), s=2).to_lp()
+@pytest.mark.parametrize("big_M", [math.inf, math.nan, -1.0, np.float64(np.inf)])
+def test_bip_rejects_a_big_m_that_is_not_positive_and_finite(tmp_path, big_M):
+    # an infinite big-M wrote rows ending "+ inf y1 <= inf"
+    path = tmp_path / "m.lp"
+    with pytest.raises(ValueError, match="big_M"):
+        export_bip(make_norm_opt(2, 1, 3, b=5.0, seed=0), 1, path, big_M=big_M)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("big_M", [sys.float_info.max, np.float64(sys.float_info.max)])
+def test_bip_rejects_a_big_m_whose_sum_with_b_overflows(tmp_path, big_M):
+    instance = make_norm_opt(2, 1, 3, b=1e300, seed=0)
+    with pytest.raises(ValueError, match="big_M"):
+        export_bip(instance, 1, tmp_path / "m.lp", big_M=big_M)
+    # the largest float is a big-M where the sum stays finite
+    text = exported(tmp_path, make_norm_opt(2, 1, 3, b=5.0, seed=0), 1, big_M=big_M)
+    assert f"+ {sys.float_info.max!r} y1 <= {sys.float_info.max!r}" in text
+
+
+@pytest.mark.parametrize("s", [1.5, 1.0, True, -1, 4, "1"])
+def test_bip_rejects_a_budget_that_is_not_an_integer_in_range(tmp_path, s):
+    # s = 1.5 wrote "card: y1 + y2 + y3 >= 1.5"
+    path = tmp_path / "m.lp"
+    with pytest.raises(ValueError, match="budget"):
+        export_bip(make_norm_opt(2, 1, 3, b=5.0, seed=0), s, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("s", [0, 3, np.int64(2)])
+def test_bip_accepts_every_integer_budget_from_0_to_N(tmp_path, s):
+    text = exported(tmp_path, make_norm_opt(2, 1, 3, b=5.0, seed=0), s)
+    assert f"y3 >= {3 - s}\n" in text and f" s={s} " in text
+
+
+def test_bip_header_records_dimensions_and_seed(tmp_path):
+    text = exported(tmp_path, make_norm_opt(2, 1, 3, b=7.5, seed=6), 2)
     assert "\\ K=2 M=1 N=3 s=2 b=7.5 seed=6" in text
 
 
@@ -177,9 +203,8 @@ def test_lp_text_matches_the_per_coefficient_writer(K, seed):
     xi_sq[0, 0] = 1e-7
     xi_sq[1, 1] = 1e17
     xi_sq[2, 0, 0] = 0.0
-    model = BipModel(K=K, M=2, N=13, s=3, b=2.5e-8, big_M=np.geomspace(1.0, 1e20, 13),
-                     xi_sq=xi_sq, seed=seed)
-    text = model.to_lp()
-    assert text == references.to_lp(model)
-    assert "1e-07 x1 ^2" in text and "1e+17 x1 ^2" in text and " y13 <= 1e+20" in text
-    assert ("seed=" in text) == (seed is not None)
+    for big_M, rhs in ((1.0, " y13 <= 1.000000025"), (1e20, " y13 <= 1e+20")):
+        text = _lp_text(xi_sq, 3, 2.5e-8, big_M, seed)
+        assert text == references.to_lp(xi_sq, 3, 2.5e-8, big_M, seed)
+        assert "1e-07 x1 ^2" in text and "1e+17 x1 ^2" in text and rhs in text
+        assert ("seed=" in text) == (seed is not None)

@@ -363,6 +363,27 @@ def test_export_bip_bad_directory_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+def test_export_bip_big_m_must_be_positive_and_finite(value, tmp_path, capsys):
+    # rejected while parsing: --big-M inf wrote rows ending "+ inf y1 <= inf"
+    out = tmp_path / "m.lp"
+    with pytest.raises(SystemExit) as exc:
+        main(["export-bip", "--K", "2", "--M", "1", "--N", "3", "--big-M", value,
+              "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"argument --big-M: must be positive and finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_bip_big_m_whose_sum_with_b_overflows_exits_1(tmp_path, capsys):
+    out = tmp_path / "m.lp"
+    code, stdout, err = run(capsys, ["export-bip", "--K", "2", "--M", "1", "--N", "3",
+                                     "--b", "1e300", "--big-M", "1.7976931348623157e308",
+                                     "--out", str(out)])
+    assert code == 1
+    assert stdout == "" and "big_M" in err and not out.exists()
+
+
 # ----------------------------------------------------------------- defaults
 
 # the flags that stand for a library argument with a default of its own

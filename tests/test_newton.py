@@ -37,7 +37,8 @@ def reference(problem, point, V, mu, pivot_tol=1e-12, Z=None):
     if L:
         Gv = problem.grad_G_cols(x, V.rows, V.cols)
         g += Gv @ w_v
-        A = np.block([[theta, Gv], [Gv.T, -mu * np.eye(L)]])
+        # -mu on the diagonal and +0.0 off it
+        A = np.block([[theta, Gv], [Gv.T, np.diag(np.full(L, -mu))]])
         rhs = -np.concatenate([g, Z[V.rows, V.cols]])
     else:
         A = theta
@@ -127,11 +128,11 @@ def test_recorded_steps_match_the_reference_bit_for_bit(K, M, N, b, alpha, monke
 @pytest.mark.parametrize("K,M,N,b,alpha", SHAPES)
 def test_the_residual_solve_passes_is_current_and_gives_the_same_step(K, M, N, b, alpha,
                                                                      monkeypatch):
-    # solve hands newton_direction the residual it built in refresh, or
-    # rebuilt after a zero step.  From x = 1, over the budget, the first
-    # search stalls; the zero step then turns the -0.0 multipliers of the
-    # start into +0.0, which the residual carries into the next step.
-    # That start activates most positions, so it runs on M = 1 only.
+    # solve hands newton_direction the residual it built in refresh; a
+    # zero step leaves x and W, so the next step reads the same residual.
+    # From x = 1, over the budget, the first search stalls, and the -0.0
+    # multipliers of the start reach the step after that zero step.  That
+    # start activates most positions, so it runs on M = 1 only.
     s = math.ceil(alpha * N)
     starts = [None] + [PrimalDualPoint(np.ones(K), -np.zeros((M, N)))] * (M == 1)
     after_zero_step = 0
@@ -184,19 +185,6 @@ def constant_problem(theta, Gv, g, Z):
         G_batch=lambda X: np.broadcast_to(Z, (len(X),) + Z.shape).copy(),
         grad_G_cols=lambda x, rows, cols: Gv[:, cols],
     )
-
-
-def test_off_diagonal_zeros_of_the_smoothing_block_are_negative():
-    # The second constraint has a zero gradient, so its row of the system
-    # is [0, -mu, -0.0] and its multiplier step comes out as a zero whose
-    # sign follows the off-diagonal zero: -mu * eye(L) holds -0.0 there.
-    problem = constant_problem(np.eye(1), np.array([[1.0, 0.0]]), np.array([-1.0]),
-                               np.zeros((1, 2)))
-    point = PrimalDualPoint(np.zeros(1), np.zeros((1, 2)))
-    V = ActiveSet.from_mask(np.ones((1, 2), dtype=bool))
-    want = reference(problem, point, V, 0.5)
-    assert np.signbit(want[0][-1])
-    assert_same(strict(problem, point, V, 0.5), want)
 
 
 @pytest.mark.parametrize("L", [0, 2])

@@ -237,7 +237,7 @@ def test_newton_with_empty_active_set_is_plain_newton_on_f():
 
 def test_newton_flags_singular_system():
     problem = flat_problem(1, 2, [1.0, -2.0], -np.ones((1, 2)))
-    pt = PrimalDualPoint.zeros(problem)
+    pt = PrimalDualPoint(np.zeros(2), np.zeros((1, 2)))
     V = ActiveSet([], (1, 2))
     F = stationarity_residual(problem, pt, V)
 
@@ -378,7 +378,8 @@ def bits(a):
 def test_multiplier_update_matches_the_stacked_update(M, N, data):
     # solve steps the multipliers on V by the direction and those off V by
     # -W, in place; the stacked direction of K + M*N entries gave the same
-    # bytes, for Newton and fallback directions and for zero steps alike
+    # bytes, for Newton and fallback directions.  A zero step leaves x and
+    # W as they are, signed zeros included.
     K = M * N
     problem = quad_problem(M, N, data.draw(arrays(float, K, elements=VALUES)),
                            data.draw(arrays(float, (M, N), elements=VALUES)))
@@ -412,8 +413,11 @@ def test_multiplier_update_matches_the_stacked_update(M, N, data):
     assert d.shape == (K + len(V),)
     if refuse:
         assert bits(d) == bits(-F[:K + len(V)])
-    assert bits(res.point.W) == bits(references.stacked_update(W, V, d[K:], alpha))
-    assert bits(res.point.x) == bits(x + alpha * d[:K])
+    if alpha == 0.0:
+        assert bits(res.point.W) == bits(W) and bits(res.point.x) == bits(x)
+    else:
+        assert bits(res.point.W) == bits(references.stacked_update(W, V, d[K:], alpha))
+        assert bits(res.point.x) == bits(x + alpha * d[:K])
 
 
 def test_solve_max_iterations_budget():
@@ -502,18 +506,27 @@ def test_zero_steps_keep_the_state_of_the_returned_point(shape):
     assert zero_steps > 0
 
 
-def test_zero_step_that_flips_a_zero_of_x_refreshes():
-    # G reads the sign of x[0]: -0.0 and +0.0 give different constraint
-    # matrices, each with more violating columns than the cap allows, so
-    # every search stalls.  The first zero step turns x[0] = -0.0 into
-    # +0.0 (the direction there is positive), so G must be evaluated again.
+def test_zero_steps_return_the_start_byte_for_byte(monkeypatch):
+    # Every column violates and the model says so at every trial step, so
+    # both searches stall without calling G.  A zero step leaves x and W as
+    # they are, the -0.0 entries of the start included, and evaluates
+    # nothing: G only at the start, no G_step, and the one residual that
+    # the start's refresh builds.
     K, M, N = 2, 1, 8
-    neg = np.where(np.arange(N) < 6, 1.0, -1.0)[None, :]
-    pos = neg[:, ::-1] * 2.0
     target = np.ones(K)
+    calls = {"G": 0, "G_step": 0, "residual": 0}
 
     def G(x):
-        return (neg if np.signbit(x[0]) else pos).copy()
+        calls["G"] += 1
+        return np.ones((M, N))
+
+    def G_step(x, d, alpha, Z, exact_cols):
+        calls["G_step"] += 1
+        return G(x + alpha * d), None
+
+    def residual(*args, **kwargs):
+        calls["residual"] += 1
+        return stationarity_residual(*args, **kwargs)
 
     problem = ProblemInstance(
         K=K, M=M, N=N,
@@ -522,22 +535,21 @@ def test_zero_step_that_flips_a_zero_of_x_refreshes():
         hess_lagrangian=lambda x, rows, cols, w: np.eye(K),
         f_batch=lambda X: 0.5 * np.sum((X - target) ** 2, axis=1),
         G=G,
-        G_batch=lambda X: np.stack([G(x) for x in X]),
+        G_batch=lambda X: np.ones((len(X), M, N)),
         grad_G_cols=lambda x, rows, cols: np.zeros((K, len(rows))),
+        violations_along=lambda x, d, Z, alphas, cap, bounded=None: (
+            np.full(len(alphas), N), np.full(len(alphas), N)),
+        G_step=G_step,
     )
-    cfg = SolverConfig(s=1, gamma=0.5)
-    res = solve(problem, cfg, start=PrimalDualPoint(np.array([-0.0, 0.0]), np.zeros((M, N))))
+    monkeypatch.setattr(solver_mod, "stationarity_residual", residual)
+    x0 = np.array([-0.0, 0.5])
+    W0 = np.array([[-0.0, 0.0, 1.0, -0.0, 0.0, -0.0, 2.0, -0.0]])
+    res = solve(problem, SolverConfig(s=1, gamma=0.5), PrimalDualPoint(x0, W0))
 
     assert res.status == "LineSearchStalled"
     assert [rec.step for rec in res.trace] == [0.0, 0.0]
-    assert res.trace[0].violations == 6 and res.trace[1].violations == 6
-    pt = res.point
-    Z = problem.G(pt.x)
-    assert not np.signbit(pt.x[0]) and np.array_equal(Z, pos)
-    lam = Z + cfg.tau * pt.W
-    V = active_set(lam, select_candidate_columns(lam, 1))
-    assert res.active == V and V.cols.tolist() == [3, 4, 5, 6, 7]
-    assert res.final_residual == float(np.linalg.norm(stationarity_residual(problem, pt, V, Z=Z)))
+    assert bits(res.point.x) == bits(x0) and bits(res.point.W) == bits(W0)
+    assert calls == {"G": 1, "G_step": 0, "residual": 1}
 
 
 def test_solve_trace_records_prestep_state():
@@ -546,7 +558,7 @@ def test_solve_trace_records_prestep_state():
     res = solve(problem, cfg)
 
     first = res.trace[0]
-    pt0 = PrimalDualPoint.zeros(problem)
+    pt0 = PrimalDualPoint(np.zeros(10), np.zeros((1, 100)))
     F0 = stationarity_residual(problem, pt0, ActiveSet([], (1, 100)))
     assert first.iter == 0
     assert first.residual == pytest.approx(float(np.linalg.norm(F0)), rel=0, abs=0)
