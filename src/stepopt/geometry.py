@@ -13,8 +13,13 @@ projection of Z + tau*W, and membership tests for the tangent and (regular)
 normal cones of S.  Everything is combinatorial on top of one quantity per
 column: the norm of its positive part.
 
-Indices are 0-based throughout.  Column classification uses exact floating
-comparisons against zero; callers that need fuzz should round first.
+Indices are 0-based throughout.  Column classification compares column
+maxima with zero exactly by default; ``column_partition``,
+``candidate_sets``, ``is_candidate_set`` and ``zero_mask`` take a ``ztol``
+that widens the zero class to [-ztol, ztol].  ``step_norm``,
+``project_step`` and the fixed-point and cone tests classify exactly; the
+``tol`` of the tests loosens only the comparisons that follow, on W, D
+and their column norms and products.
 """
 from __future__ import annotations
 

@@ -19,6 +19,9 @@ once.  On the same samples the instance bounds G after a step
 (``G_step``): a per-column bound of the same kind proves most columns
 negative at the new point, and G is evaluated only on the rest, with the
 same einsum over their gathered rows, so those columns are G bit for bit.
+The envelope reads such bounds as they are; the exact model evaluates G
+with that einsum on the columns it models, over the rows it reads for its
+coefficients.
 """
 from __future__ import annotations
 
@@ -108,25 +111,23 @@ class ProblemInstance:
     f_batch, G_batch : callable
         f and G at the rows of a (P, K) array: shapes (P,) and (P, M, N).
     violations_along : callable, optional
-        ``violations_along(x, d, Z, alphas, cap, bounded=None)``, with
-        ``Z = G(x)``, models G along the ray x + a*d at the non-increasing
-        step sizes ``alphas`` in [0, 1], and raises ValueError if a step is
-        larger than the one before it.  It returns None when it cannot, or
-        integer arrays (lo, hi), one entry per step, with
-        ``lo <= step_norm(G(x + a*d)) <= hi`` at each step a.  The bounds
-        are exact statements about G as evaluated in floating point at the
-        trial point ``x + a * d``, not about its exact value, so a line
-        search that trusts them where both sit on one side of ``cap``
-        decides exactly as if it had called G.  As in ``step_norm``, an
-        entry exactly zero does not violate.  ``cap`` tells the hook how
-        tight its bounds need to be: a search reads them in order up to the
-        first step with ``hi <= cap``, and the hook may leave any later
-        step at (0, N).  The hook must describe this instance's own G, and
-        reads ``alphas`` only when it is called.  Every hook takes the
-        keyword ``bounded``: None when Z is G(x) on every column, else the
-        mask that ``G_step`` returned with Z.  The hook may read Z as an
-        upper bound on those columns, and it evaluates G there before it
-        uses their values.
+        ``violations_along(x, d, Z, alphas, cap)``, with ``Z = G(x)``, or
+        with Z as this instance's own ``G_step`` gave it at x, models G
+        along the ray x + a*d at the non-increasing step sizes ``alphas``
+        in [0, 1], and raises ValueError if a step is larger than the one
+        before it.  It returns None when it cannot, or integer arrays (lo,
+        hi), one entry per step, with ``lo <= step_norm(G(x + a*d)) <= hi``
+        at each step a.  The bounds are exact statements about G as
+        evaluated in floating point at the trial point ``x + a * d``, not
+        about its exact value, so a line search that trusts them where both
+        sit on one side of ``cap`` decides exactly as if it had called G.
+        As in ``step_norm``, an entry exactly zero does not violate.
+        ``cap`` tells the hook how tight its bounds need to be: a search
+        reads them in order up to the first step with ``hi <= cap``, and
+        the hook may leave any later step at (0, N).  The hook must
+        describe this instance's own G, and reads ``alphas`` only when it
+        is called.  A Z from ``G_step`` is read only as upper bounds on the
+        columns of G(x).
     G_step : callable, optional
         ``G_step(x, d, alpha, Z, exact_cols)``, with Z = G(x), or Z from an
         earlier ``G_step`` call, gives ``(G(y), bounded)`` at the trial point
@@ -136,7 +137,8 @@ class ProblemInstance:
         columns, among them ``exact_cols``, hold G(y) bit for bit.
         ``bounded`` is None when no column is bounded.  ``solve`` passes the
         columns where its multipliers are nonzero as ``exact_cols``, so
-        that a bounded column is negative in G + tau*W either way.
+        that a bounded column is negative in G + tau*W either way, and
+        hands G(y) to ``violations_along`` as it is.
     """
 
     K: int
@@ -291,43 +293,27 @@ def _step_bounds(z: np.ndarray, step: float, W: np.ndarray, b: float,
     return r
 
 
-def _einsum_G(xi_sq: np.ndarray, x: np.ndarray, b: float,
-              cols: Optional[np.ndarray] = None) -> np.ndarray:
-    """G(x) of the norm-design instance, or its columns ``cols``.
+def _einsum_G(rows: np.ndarray, x: np.ndarray, b: float) -> np.ndarray:
+    """G(x) of the norm-design instance on the columns whose samples are ``rows``.
 
-    One einsum over the sample rows, gathered when ``cols`` is given, which
-    gives each column of G bit for bit either way.
+    One einsum over the (L, M, K) sample rows, which gives each column of G
+    bit for bit whether ``rows`` holds every sample or gathered ones.
     """
-    rows = xi_sq if cols is None else np.take(xi_sq, cols, axis=0)
     return np.einsum("nmk,k->mn", rows, x * x) - b
 
 
-def _values_on(xi_sq: np.ndarray, b: float, x: np.ndarray, Z: np.ndarray,
-               bounded: Optional[np.ndarray], cols: Optional[np.ndarray]) -> np.ndarray:
-    """G(x) on the columns ``cols`` of Z, None meaning all, in an (M, L) array.
-
-    ``bounded`` marks the columns where Z holds only a bound, None meaning
-    none; G is evaluated there and Z read elsewhere.
-    """
-    if cols is None:
-        return Z if bounded is None else _einsum_G(xi_sq, x, b)
-    out = np.take(Z, cols, axis=1)
-    if bounded is not None:
-        fix = np.flatnonzero(bounded[cols])
-        if fix.size:
-            out[:, fix] = _einsum_G(xi_sq, x, b, cols[fix])
-    return out
-
-
-def _column_model(xi_sq: np.ndarray, Z: np.ndarray, cols: Optional[np.ndarray],
-                  xd: np.ndarray, b: float):
+def _column_model(xi_sq: np.ndarray, Z: Optional[np.ndarray], cols: Optional[np.ndarray],
+                  x: np.ndarray, xd: np.ndarray, b: float):
     """The violation model over the columns ``cols`` of G, None meaning all.
 
-    ``Z`` holds G(x) on those columns, an (M, L) array, and ``xd`` the
-    columns 2*x*d and d*d.  Returns (rows, bands): coefficient rows (3,
-    M*L), which give the entries of the model at step a in column order as
-    (1, a, a^2) @ rows, and band rows (2, L), which give each column's band
-    as (1, a^2) @ bands; or None when a coefficient passes _SAFE_VAL.
+    ``Z`` is G(x), an (M, N) array read on those columns, or None, and then
+    the model evaluates G(x) there itself, with ``_einsum_G`` over the
+    sample rows it reads, so that those columns are G bit for bit.  ``xd``
+    holds the columns 2*x*d and d*d.  Returns (rows, bands): coefficient
+    rows (3, M*L), which give the entries of the model at step a in column
+    order as (1, a, a^2) @ rows, and band rows (2, L), which give each
+    column's band as (1, a^2) @ bands; or None when a coefficient passes
+    _SAFE_VAL.
     """
     # G(x + a*d) = Z + a*c1 + a^2*c2 entrywise, with c1 = 2*sum_k
     # xi_sq*x*d and c2 = sum_k xi_sq*d^2.  In floating point every entry
@@ -357,20 +343,25 @@ def _column_model(xi_sq: np.ndarray, Z: np.ndarray, cols: Optional[np.ndarray],
     # whole rows of L entries.  xd is in C order: with the Fortran-ordered
     # transpose the blocks took as long as one product over all rows.  A
     # product that overflows gives inf or nan, which the check of the
-    # column maxima below turns into None.
-    coef[0] = Z
+    # column maxima below turns into None.  G(x) comes from Z, or from the
+    # einsum over all samples or over each gathered block.
     if cols is None:
+        coef[0] = _einsum_G(xi_sq, x, b) if Z is None else Z
         rows = xi_sq.reshape(N * M, K)
         block = max(1, _MODEL_BLOCK_BYTES // (rows.itemsize * K))
         for first in range(0, N * M, block):
             np.dot(rows[first:first + block], xd, out=cd[first:first + block])
     else:
+        if Z is not None:
+            np.take(Z, cols, axis=1, out=coef[0])
         block = max(1, _MODEL_BLOCK_BYTES // (xi_sq.itemsize * M * K))
         buf = np.empty((min(block, L), M, K))
         for first in range(0, L, block):
             part = buf[:min(block, L - first)]
             np.take(xi_sq, cols[first:first + block], axis=0, out=part)
             np.dot(part.reshape(-1, K), xd, out=cd[first * M:(first + len(part)) * M])
+            if Z is None:
+                coef[0, :, first:first + len(part)] = _einsum_G(part, x, b)
     coef[1:] = cd.reshape(L, M, 2).transpose(2, 1, 0)
     # column maxima of |Z|, |c1| and c2
     mag = np.abs(coef).max(axis=1) if M > 1 else np.abs(coef[:, 0])
@@ -485,10 +476,14 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         cols = np.flatnonzero(~bounded)
         out = np.empty((M, N))
         out[:] = bound
-        out[:, cols] = _einsum_G(xi_sq, y, b, cols)
+        out[:, cols] = _einsum_G(np.take(xi_sq, cols, axis=0), y, b)
         return out, bounded
 
-    def violations_along(x, d, Z, alphas, cap, bounded=None):
+    # Z may come from G_step, and hold bounds, only on an instance that has
+    # it; there the model evaluates G(x) on the columns it models
+    has_step = W is not None and b <= _SAFE_VAL
+
+    def violations_along(x, d, Z, alphas, cap):
         # The steps are copied once, as rows (1, a, a^2) of step powers, so
         # a caller that changes its array later changes no bound.
         powers = np.empty((len(alphas), 3))
@@ -518,10 +513,11 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         xd[:, 0] *= d
         np.multiply(d, d, out=xd[:, 1])
         dmax = 0.0 if W is None else float(np.abs(d).max())
+        Gx = None if has_step else Z
         if not (dmax >= _ENV_LO and Z.max() + b <= _SAFE_VAL):
             # without the envelope: every column, at every step
             with quiet:
-                model = _column_model(xi_sq, _values_on(xi_sq, b, x, Z, bounded, None), None, xd, b)
+                model = _column_model(xi_sq, Gx, None, x, xd, b)
             return None if model is None else count(*model, None, powers)
         # S, the columns the model covers, is the first ``done`` columns of
         # ``order``, by increasing envelope threshold; ``unsafe[j]`` columns
@@ -542,8 +538,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
                 # place
                 cols = None if size == N and not done else order[done:size]
                 with quiet:
-                    model = _column_model(xi_sq, _values_on(xi_sq, b, x, Z, bounded, cols),
-                                          cols, xd, b)
+                    model = _column_model(xi_sq, Gx, cols, x, xd, b)
                 if model is None:
                     return None
                 part_lo, part_hi = count(*model, theta if cols is None else theta[cols], powers)
@@ -598,7 +593,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         f=f, grad_f=grad_f, hess_lagrangian=hess_lagrangian,
         G=G, grad_G_cols=grad_G_cols,
         f_batch=f_batch, G_batch=G_batch, violations_along=violations_along,
-        G_step=None if W is None or b > _SAFE_VAL else G_step,
+        G_step=G_step if has_step else None,
         xi_sq=xi_sq, xi_signs=signs, xi_patch_at=patch_at, xi_patch_mag=patch_mag,
         b=float(b),
         lambda1=float(lambda1), lambda2=float(lambda2), seed=seed,

@@ -15,8 +15,8 @@ whose bounds straddle it.  Problems that bound G after a step
 only on the columns where the multipliers are nonzero and those the bound
 cannot prove negative.  The other columns hold the bound; they are
 negative with it as with G, so the clamp columns, the active set, the
-residual and the trace come out the same, and the line search gets their
-mask, so that its model evaluates G wherever it reads values there.
+residual and the trace come out the same.  The line search passes that
+G on to the model, which reads it only as upper bounds.
 """
 from __future__ import annotations
 
@@ -229,8 +229,7 @@ def fallback_direction(F: np.ndarray) -> np.ndarray:
 
 def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.ndarray,
                             s: int, gamma: float, Z: np.ndarray,
-                            full_step_first: bool = False,
-                            bounded: Optional[np.ndarray] = None) -> tuple[int, float, bool]:
+                            full_step_first: bool = False) -> tuple[int, float, bool]:
     """Smallest backtracking exponent keeping violations within (gamma+1)*s.
 
     Returns (t, alpha, stalled) where alpha is the trial step ``_STEPS[t]``;
@@ -240,11 +239,10 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
 
     A problem with a ``violations_along`` hook bounds the violation count
     of each trial step, the full step included, from a model of G along
-    the ray (``Z`` is G(x), read only by the model), and G is called only
-    for a step whose bounds straddle the cap.  The hook is given the cap,
-    so that it tightens its bounds only where the cap leaves a step open.
-    ``bounded`` is the mask of the columns where ``Z`` holds only a bound,
-    as ``problem.G_step`` returned it, or None; it goes to the hook as is.
+    the ray (``Z`` is G(x), or the problem's own ``G_step`` output there,
+    read only by the model), and G is called only for a step whose bounds
+    straddle the cap.  The hook is given the cap, so that it tightens its
+    bounds only where the cap leaves a step open.
     ``full_step_first`` tries the full step with G before building the
     model, which pays off when the full step is likely to pass.  Without
     the hook every trial step goes to G.  The result equals that of
@@ -270,7 +268,7 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
         start = 1
     bounds = None
     if problem.violations_along is not None:
-        bounds = problem.violations_along(x, d_x, Z, steps[start:], bound, bounded=bounded)
+        bounds = problem.violations_along(x, d_x, Z, steps[start:], bound)
     if bounds is None:
         n = steps.size - start
         bounds = np.zeros(n, dtype=np.intp), np.full(n, np.inf)
@@ -305,8 +303,9 @@ def solve(problem: ProblemInstance, config: SolverConfig,
     bound cannot prove negative, and keeps the bound on the rest, where W
     is zero.  Those columns are negative in G(x) + tau*W with the bound or
     with G, so no clamp column, active set, residual or trace count
-    changes; the search reads the bound through the model's envelope, and
-    the final check evaluates all of G when any bound is left.  A zero
+    changes.  The search hands Z to the model as it is, and only the
+    model's envelope reads the bounds; the final check reuses Z when every
+    bound is below -tol and evaluates all of G otherwise.  A zero
     step (a stalled search) leaves x and W as they are, so G(x), V, its
     gradient columns and the residual stand, and only mu moves on.  The
     Newton and fallback directions read that residual rather than
@@ -375,7 +374,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             kind = "fallback"
 
         t, alpha, stalled = feasibility_line_search(
-            problem, x, d[:K], s, gamma, Z, full_step_first=full_step_first, bounded=bounded)
+            problem, x, d[:K], s, gamma, Z, full_step_first=full_step_first)
         stall_streak = stall_streak + 1 if stalled else 0
         full_step_first = alpha == 1.0
 
@@ -404,9 +403,11 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         it += 1
 
     final_pt = PrimalDualPoint(x, W)
-    # the report reads every column of G(x)
-    report = check_tau_stationary(problem, final_pt, tau, s, tol=tol,
-                                  Z=Z if bounded is None else None)
+    # The report reads a column below -tol, its zero tolerance, only as
+    # below it, and W is zero on the bounded columns, so bounds below -tol
+    # serve it as G would.
+    reuse = bounded is None or Z[0, bounded].max() < -tol
+    report = check_tau_stationary(problem, final_pt, tau, s, tol=tol, Z=Z if reuse else None)
     return SolveResult(point=final_pt, status=status, iterations=it,
                        final_residual=res, trace=tuple(trace),
                        final_report=report, active=V)

@@ -72,10 +72,9 @@ def recorded_searches(problem, config, monkeypatch):
     calls = []
     plain = solver_mod.feasibility_line_search
 
-    def recorder(problem, x, d_x, s, gamma, Z, full_step_first=False, bounded=None):
+    def recorder(problem, x, d_x, s, gamma, Z, full_step_first=False):
         calls.append((x.copy(), d_x.copy(), s, gamma, full_step_first))
-        return plain(problem, x, d_x, s, gamma, Z, full_step_first=full_step_first,
-                     bounded=bounded)
+        return plain(problem, x, d_x, s, gamma, Z, full_step_first=full_step_first)
 
     monkeypatch.setattr(solver_mod, "feasibility_line_search", recorder)
     solve(problem, config)
@@ -134,9 +133,10 @@ def test_wide_solve_evaluates_G_once_per_iterate():
     # No search of these solves straddles the cap, so G runs only where
     # an iterate is refreshed: in full at the start, through G_step after
     # each nonzero step, and in full once more for the final check when
-    # the last refresh left columns bounded.  The line searches decide
-    # every step from the model, a zero step keeps the last G, and the
-    # final check reuses it when every column is exact.
+    # the last refresh left a bound at or above -tol.  The line searches
+    # decide every step from the model, a zero step keeps the last G, and
+    # the final check reuses it when every column is exact or every bound
+    # is below -tol.
     partial = 0
     for seed in range(6):
         problem, calls = counting(make_norm_opt(50, 20, 200, b=40.0, seed=seed))
@@ -145,15 +145,21 @@ def test_wide_solve_evaluates_G_once_per_iterate():
 
         def counted_step(*args):
             out = G_step(*args)
-            refreshed.append(out[1])
+            refreshed.append(out)
             return out
 
         problem = dataclasses.replace(problem, G_step=counted_step)
         s = math.ceil(0.05 * 200)
-        res = solve(problem, SolverConfig(s=s, gamma=gamma_for(0.05, s), max_it=30))
+        config = SolverConfig(s=s, gamma=gamma_for(0.05, s), max_it=30)
+        res = solve(problem, config)
+        tol = config.tol_scale * 50 * 20 * 200
         assert len(refreshed) == sum(rec.step > 0 for rec in res.trace)
-        assert calls[0] == 1 + (bool(refreshed) and refreshed[-1] is not None)
-        partial += sum(bounded is not None for bounded in refreshed)
+        left = False
+        if refreshed and refreshed[-1][1] is not None:
+            Z, bounded = refreshed[-1]
+            left = Z[0, bounded].max() >= -tol
+        assert calls[0] == 1 + left
+        partial += sum(bounded is not None for _, bounded in refreshed)
     assert partial > 0
 
 
@@ -329,9 +335,9 @@ def model_builds(monkeypatch):
     builds = []
     plain = problems_mod._column_model
 
-    def recorded(xi_sq, Z, cols, xd, b):
+    def recorded(xi_sq, Z, cols, x, xd, b):
         builds.append(xi_sq.shape[0] if cols is None else len(cols))
-        return plain(xi_sq, Z, cols, xd, b)
+        return plain(xi_sq, Z, cols, x, xd, b)
 
     monkeypatch.setattr(problems_mod, "_column_model", recorded)
     return builds
@@ -524,7 +530,7 @@ ENV_DIMS = (40, 3, 700)
 
 def with_reference_model(problem):
     """The same instance with the column-wise model of ``references`` as its hook."""
-    def hook(x, d, Z, alphas, cap, bounded=None):
+    def hook(x, d, Z, alphas, cap):
         return references.violation_model(problem, x, d, Z, alphas)
 
     return dataclasses.replace(problem, violations_along=hook)

@@ -31,24 +31,34 @@ NO_COLS = np.empty(0, dtype=np.intp)
 def test_G_columns_are_the_einsum_bit_for_bit(K, M, N):
     """G is one einsum, and the same einsum over gathered columns gives them back.
 
-    Two parts of the code rest on this rounding.  ``G_step`` and the
-    violation model evaluate G on a few columns with the einsum over the
-    gathered sample rows, and mix the result into a G they then treat as
-    exact.  ``bench/workloads.py::_boundary_instance`` sets b from this
-    einsum's own rounding so that one column of G is exactly zero; a G
-    that sums in another order breaks that construction.  The shapes are
-    those of the ``paper``, ``analysis`` and ``wide`` workloads.
+    Three parts of the code rest on this rounding.  ``G_step`` evaluates G
+    on a few columns with the einsum over the gathered sample rows, and
+    mixes the result into a G it then treats as exact.  The violation
+    model evaluates G on the columns it models with the same einsum, one
+    per block of ``_MODEL_BLOCK_BYTES // (8*M*K)`` gathered columns and a
+    shorter block at the end, and its bounds are statements about G.
+    ``bench/workloads.py::_boundary_instance`` sets b from this einsum's
+    own rounding so that one column of G is exactly zero; a G that sums in
+    another order breaks that construction.  The shapes are those of the
+    ``paper``, ``analysis`` and ``wide`` workloads.
     """
     problem = make_norm_opt(K, M, N, b=14.0, seed=K)
     rng = np.random.default_rng(M)
+    block = min(N, problems_mod._MODEL_BLOCK_BYTES // (8 * M * K))
     for _ in range(8):
         x = rng.standard_normal(K) * rng.choice([1e-3, 1.0, 1e3])
         full = problem.G(x)
         assert full.tobytes() == (np.einsum("nmk,k->mn", problem.xi_sq, x * x) - problem.b).tobytes()
-        for size in (1, int(rng.integers(2, N)), N):
+        for size in (1, int(rng.integers(2, N)), N, block, int(rng.integers(1, block + 1))):
             cols = np.sort(rng.choice(N, size, replace=False))
             part = np.einsum("nmk,k->mn", np.take(problem.xi_sq, cols, axis=0), x * x) - problem.b
             assert part.tobytes() == full[:, cols].tobytes()
+        # the model's own G over whole blocks and a shorter last one
+        cols = np.sort(rng.choice(N, min(N, 2 * block + int(rng.integers(1, block + 1))),
+                                  replace=False))
+        xd = np.ones((K, 2))
+        rows, _ = problems_mod._column_model(problem.xi_sq, None, cols, x, xd, problem.b)
+        assert rows[0].tobytes() == full[:, cols].tobytes()
 
 
 # samples over many row blocks, so that the instance has the envelope and
@@ -169,12 +179,50 @@ def test_solve_with_partial_refresh_equals_solve_with_full(seed):
             assert all(not mask[cols].any() for mask in masks if mask is not None)
 
 
+def test_final_report_reuses_Z_only_when_every_bound_is_below_tol(monkeypatch):
+    # The final check is given the last refresh's Z when every bound in it
+    # is below -tol, and evaluates all of G otherwise.  Its report equals
+    # that of a check that evaluates G either way.  Both branches occur
+    # over the seeds and tolerances.
+    K, M, N, b = 50, 20, 200, 40.0
+    given = []
+    plain = solver_mod.check_tau_stationary
+
+    def recorded(*args, Z=None, **kwargs):
+        given.append(Z)
+        return plain(*args, Z=Z, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "check_tau_stationary", recorded)
+    branches = set()
+    for tol_scale in (1e-9, 1e-6):
+        for seed in range(6):
+            problem = make_norm_opt(K, M, N, b=b, seed=seed)
+            steps = []
+
+            def stepped(*args, G_step=problem.G_step):
+                steps.append(G_step(*args))
+                return steps[-1]
+
+            s = math.ceil(0.05 * N)
+            config = SolverConfig(s=s, gamma=gamma_for(0.05, s), max_it=30, tol_scale=tol_scale)
+            given.clear()
+            res = solve(dataclasses.replace(problem, G_step=stepped), config)
+            tol = tol_scale * K * M * N
+            Z, bounded = steps[-1]
+            reused = bool(Z[0, bounded].max() < -tol)
+            assert len(given) == 1 and given[0] is (Z if reused else None)
+            want = plain(problem, res.point, config.tau, s, tol=tol)
+            assert report_fields(res.final_report) == report_fields(want)
+            branches.add(reused)
+    assert branches == {True, False}
+
+
 def decisions(lo, hi, cap):
     """Per step: 1 when the bounds accept it, -1 when they reject it, else 0."""
     return np.where(hi <= cap, 1, np.where(lo > cap, -1, 0))
 
 
-def searched(problem, x, d, s, gamma, Z, bounded):
+def searched(problem, x, d, s, gamma, Z):
     """(result, G calls) of one search on ``problem``."""
     calls = [0]
     G = problem.G
@@ -183,28 +231,27 @@ def searched(problem, x, d, s, gamma, Z, bounded):
         calls[0] += 1
         return G(y)
 
-    got = feasibility_line_search(dataclasses.replace(problem, G=counted), x, d, s, gamma, Z,
-                                  bounded=bounded)
+    got = feasibility_line_search(dataclasses.replace(problem, G=counted), x, d, s, gamma, Z)
     return got, calls[0]
 
 
 def test_model_decides_as_with_exact_values_where_Z_is_bounded(monkeypatch):
-    # Z from G_step holds bounds on most columns.  The model may read them
-    # in its envelope, and it evaluates G on the bounded columns it adds to
-    # S, so that its bounds hold, its search decides as with the exact Z
-    # and calls G as often, and each step up to the decision is accepted,
-    # rejected or left open alike.  A direction with ||d||_inf below the
-    # envelope's floor takes the path without the envelope, which models
-    # every column and so evaluates G in full: its bounds are those of the
-    # exact Z.
+    # Z from G_step holds bounds on most columns, and the hook is given
+    # that Z alone.  Its envelope reads the bounds, and the model evaluates
+    # G itself on every column it adds to S, bounded ones among them, so
+    # that its bounds hold at every step, its search decides as with the
+    # exact Z and calls G as often, and every step is accepted, rejected
+    # or left open alike.  A direction with ||d||_inf below the envelope's
+    # floor takes the path without the envelope, which models every column
+    # and so evaluates G in full: its bounds are those of the exact Z.
     K, M, N, b = PARITY_DIMS
     problem = make_norm_opt(K, M, N, b=b, seed=1)
     built = []
     plain = problems_mod._column_model
 
-    def recorded(xi_sq, Z, cols, xd, b):
+    def recorded(xi_sq, Z, cols, x, xd, b):
         built.append(cols)
-        return plain(xi_sq, Z, cols, xd, b)
+        return plain(xi_sq, Z, cols, x, xd, b)
 
     monkeypatch.setattr(problems_mod, "_column_model", recorded)
     rng = np.random.default_rng(3)
@@ -222,16 +269,15 @@ def test_model_decides_as_with_exact_values_where_Z_is_bounded(monkeypatch):
             for s, gamma in ((5, 0.5), (50, 0.06), (200, 0.0)):
                 cap = (gamma + 1.0) * s
                 built.clear()
-                got = problem.violations_along(x, d, Zb, steps, cap, bounded=bounded)
+                got = problem.violations_along(x, d, Zb, steps, cap)
                 bounded_in_S += sum(int(bounded.sum() if c is None else bounded[c].sum())
                                     for c in built)
                 want = problem.violations_along(x, d, Z, steps, cap)
-                result, calls = searched(problem, x, d, s, gamma, Zb, bounded)
-                assert (result, calls) == searched(problem, x, d, s, gamma, Z, None)
-                upto = result[0] + 1
-                assert (decisions(*got, cap)[:upto] == decisions(*want, cap)[:upto]).all()
+                result, calls = searched(problem, x, d, s, gamma, Zb)
+                assert (result, calls) == searched(problem, x, d, s, gamma, Z)
+                assert (decisions(*got, cap) == decisions(*want, cap)).all()
                 if np.abs(d).max() < problems_mod._ENV_LO:
                     assert all(np.array_equal(u, v) for u, v in zip(got, want))
-                for a, lo, hi in zip(steps[:upto], *got):
+                for a, lo, hi in zip(steps, *got):
                     assert lo <= step_norm(problem.G(x + a * d)) <= hi
     assert bounded_in_S > 0

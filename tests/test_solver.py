@@ -166,7 +166,7 @@ def test_config_defaults():
     assert not steps.flags.writeable
     assert steps.tobytes() == np.array(references.steps(0.85, 50)).tobytes()
     assert list(inspect.signature(feasibility_line_search).parameters) == [
-        "problem", "x", "d_x", "s", "gamma", "Z", "full_step_first", "bounded"]
+        "problem", "x", "d_x", "s", "gamma", "Z", "full_step_first"]
 
 
 def test_config_is_frozen():
@@ -404,7 +404,7 @@ def test_multiplier_update_matches_the_stacked_update(M, N, data):
         patch.setattr(solver_mod, "newton_direction", newton)
         patch.setattr(solver_mod, "fallback_direction", fallback)
         patch.setattr(solver_mod, "feasibility_line_search",
-                      lambda problem, x, d_x, s, gamma, Z, full_step_first=False, bounded=None:
+                      lambda problem, x, d_x, s, gamma, Z, full_step_first=False:
                       (0, alpha, False))
         res = solve(problem, SolverConfig(s=1, max_it=1), start)
     if not seen:  # converged at the start
@@ -537,7 +537,7 @@ def test_zero_steps_return_the_start_byte_for_byte(monkeypatch):
         G=G,
         G_batch=lambda X: np.ones((len(X), M, N)),
         grad_G_cols=lambda x, rows, cols: np.zeros((K, len(rows))),
-        violations_along=lambda x, d, Z, alphas, cap, bounded=None: (
+        violations_along=lambda x, d, Z, alphas, cap: (
             np.full(len(alphas), N), np.full(len(alphas), N)),
         G_step=G_step,
     )

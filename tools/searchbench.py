@@ -16,10 +16,11 @@ thread: it builds the same pool with its own ``bench/workloads.py`` and
 ``src/stepopt``, evaluates ``Z = G(x)`` and runs each search once with a
 counting ``G``, for its result and its ``G`` calls, then times it
 repeatedly.  The two sides replay in turns, in alternating order, and a
-search's time is its fastest run on that side.  The recording leaves out
-the mask of bounded columns that a search inside ``solve`` may get with
-its Z (see ``ProblemInstance.G_step``): every replay starts from the full
-G(x), so it times the searches, not the refresh that feeds them.
+search's time is its fastest run on that side.  Every replay starts from
+the exact G(x), where a search inside ``solve`` may get a Z that holds
+bounds on some columns (see ``ProblemInstance.G_step``): the envelope of
+the model then reads exact column maxima where the solve read bounds, so
+the replay times the searches, not the refresh that feeds them.
 
 Prints the median time per search on each side, over all searches and
 split by how they end: the full step accepted by ``G`` before any model
@@ -70,9 +71,9 @@ def record(workload: str, seed: int, limit) -> list[tuple]:
     plain = solver.feasibility_line_search
     calls = []
     for i, item in enumerate(items):
-        def recorder(problem, x, d_x, s, gamma, Z, full_step_first=False, i=i, **kw):
+        def recorder(problem, x, d_x, s, gamma, Z, full_step_first=False, i=i):
             calls.append((i, x.copy(), d_x.copy(), s, gamma, full_step_first))
-            return plain(problem, x, d_x, s, gamma, Z, full_step_first=full_step_first, **kw)
+            return plain(problem, x, d_x, s, gamma, Z, full_step_first=full_step_first)
 
         solver.feasibility_line_search = recorder
         try:
