@@ -306,9 +306,10 @@ def _column_model(xi_sq: np.ndarray, Z: Optional[np.ndarray], cols: Optional[np.
                   x: np.ndarray, xd: np.ndarray, b: float):
     """The violation model over the columns ``cols`` of G, None meaning all.
 
-    ``Z`` is G(x), an (M, N) array read on those columns, or None, and then
-    the model evaluates G(x) there itself, with ``_einsum_G`` over the
-    sample rows it reads, so that those columns are G bit for bit.  ``xd``
+    When the model takes every column, ``Z`` is G(x), an (M, N) array, or
+    None; on gathered columns, and with None, the model evaluates G(x)
+    itself, with ``_einsum_G`` over the sample rows it reads, so that those
+    columns are G bit for bit.  ``xd``
     holds the columns 2*x*d and d*d.  Returns (rows, bands): coefficient
     rows (3, M*L), which give the entries of the model at step a in column
     order as (1, a, a^2) @ rows, and band rows (2, L), which give each
@@ -343,8 +344,8 @@ def _column_model(xi_sq: np.ndarray, Z: Optional[np.ndarray], cols: Optional[np.
     # whole rows of L entries.  xd is in C order: with the Fortran-ordered
     # transpose the blocks took as long as one product over all rows.  A
     # product that overflows gives inf or nan, which the check of the
-    # column maxima below turns into None.  G(x) comes from Z, or from the
-    # einsum over all samples or over each gathered block.
+    # column maxima below turns into None.  G(x) comes from Z or the einsum
+    # over all samples, or from the einsum over each gathered block.
     if cols is None:
         coef[0] = _einsum_G(xi_sq, x, b) if Z is None else Z
         rows = xi_sq.reshape(N * M, K)
@@ -352,16 +353,13 @@ def _column_model(xi_sq: np.ndarray, Z: Optional[np.ndarray], cols: Optional[np.
         for first in range(0, N * M, block):
             np.dot(rows[first:first + block], xd, out=cd[first:first + block])
     else:
-        if Z is not None:
-            np.take(Z, cols, axis=1, out=coef[0])
         block = max(1, _MODEL_BLOCK_BYTES // (xi_sq.itemsize * M * K))
         buf = np.empty((min(block, L), M, K))
         for first in range(0, L, block):
             part = buf[:min(block, L - first)]
             np.take(xi_sq, cols[first:first + block], axis=0, out=part)
             np.dot(part.reshape(-1, K), xd, out=cd[first * M:(first + len(part)) * M])
-            if Z is None:
-                coef[0, :, first:first + len(part)] = _einsum_G(part, x, b)
+            coef[0, :, first:first + len(part)] = _einsum_G(part, x, b)
     coef[1:] = cd.reshape(L, M, 2).transpose(2, 1, 0)
     # column maxima of |Z|, |c1| and c2
     mag = np.abs(coef).max(axis=1) if M > 1 else np.abs(coef[:, 0])
@@ -480,7 +478,9 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         return out, bounded
 
     # Z may come from G_step, and hold bounds, only on an instance that has
-    # it; there the model evaluates G(x) on the columns it models
+    # it; there the model evaluates G(x) on the columns it models.  The
+    # envelope path always does: without G_step it runs only when b passes
+    # _SAFE_VAL, and then the model gives None whatever Z is.
     has_step = W is not None and b <= _SAFE_VAL
 
     def violations_along(x, d, Z, alphas, cap):
@@ -513,11 +513,10 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         xd[:, 0] *= d
         np.multiply(d, d, out=xd[:, 1])
         dmax = 0.0 if W is None else float(np.abs(d).max())
-        Gx = None if has_step else Z
         if not (dmax >= _ENV_LO and Z.max() + b <= _SAFE_VAL):
             # without the envelope: every column, at every step
             with quiet:
-                model = _column_model(xi_sq, Gx, None, x, xd, b)
+                model = _column_model(xi_sq, None if has_step else Z, None, x, xd, b)
             return None if model is None else count(*model, None, powers)
         # S, the columns the model covers, is the first ``done`` columns of
         # ``order``, by increasing envelope threshold; ``unsafe[j]`` columns
@@ -538,7 +537,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
                 # place
                 cols = None if size == N and not done else order[done:size]
                 with quiet:
-                    model = _column_model(xi_sq, Gx, cols, x, xd, b)
+                    model = _column_model(xi_sq, None, cols, x, xd, b)
                 if model is None:
                     return None
                 part_lo, part_hi = count(*model, theta if cols is None else theta[cols], powers)

@@ -208,8 +208,9 @@ def test_final_report_reuses_Z_only_when_every_bound_is_below_tol(monkeypatch):
             given.clear()
             res = solve(dataclasses.replace(problem, G_step=stepped), config)
             tol = tol_scale * K * M * N
+            assert steps
             Z, bounded = steps[-1]
-            reused = bool(Z[0, bounded].max() < -tol)
+            reused = bounded is None or bool(Z[0, bounded].max() < -tol)
             assert len(given) == 1 and given[0] is (Z if reused else None)
             want = plain(problem, res.point, config.tau, s, tol=tol)
             assert report_fields(res.final_report) == report_fields(want)
