@@ -282,7 +282,9 @@ def cmd_check(args) -> int:
     kkt = check_kkt(problem, x, s, tol=args.tol)
     print(f"KKT: {_verdict(kkt)}")
 
-    y = (problem.G(x).max(axis=0) <= 0.0).astype(int)
+    # G(x) once, for y and for the tau check
+    Z = problem.G(x)
+    y = (Z.max(axis=0) <= 0.0).astype(int)
     try:
         bkkt = check_bkkt(problem, x, y, s, tol=args.tol)
         print(f"BKKT: {_verdict(bkkt)}")
@@ -290,7 +292,7 @@ def cmd_check(args) -> int:
         print(f"BKKT: not applicable ({exc})")
 
     point = PrimalDualPoint(x, np.zeros((problem.M, problem.N)) if W is None else W)
-    tau_rep = check_tau_stationary(problem, point, args.tau, s, tol=args.tol)
+    tau_rep = check_tau_stationary(problem, point, args.tau, s, tol=args.tol, Z=Z)
     label = f"tau-stationary (tau={_num(args.tau)}"
     label += ", multipliers defaulted to zero)" if W is None else ")"
     print(f"{label}: {_verdict(tau_rep)}")

@@ -298,15 +298,16 @@ def solve(problem: ProblemInstance, config: SolverConfig,
     Each iterate evaluates G once and forms G(x) + tau*W once, for the
     clamp columns and the active set V alike; the gradient columns of V
     are computed once too, for the residual and the Newton step.  The
-    start evaluates all of G.  After a step, a problem with ``G_step``
-    evaluates G only on the columns where W is nonzero and on those its
-    bound cannot prove negative, and keeps the bound on the rest, where W
-    is zero.  Those columns are negative in G(x) + tau*W with the bound or
-    with G, so no clamp column, active set, residual or trace count
-    changes.  The search hands Z to the model as it is, and only the
-    model's envelope reads the bounds; the final check reuses Z when every
-    bound is below -tol and evaluates all of G otherwise.  A zero
-    step (a stalled search) leaves x and W as they are, so G(x), V, its
+    start calls ``problem.G``; at the default start, the origin, the
+    norm-design instance gives -b there without reading its samples.  After
+    a step, a problem with ``G_step`` evaluates G only on the columns where
+    W is nonzero and on those its bound cannot prove negative, and keeps
+    the bound on the rest, where W is zero.  Those columns are negative in
+    G(x) + tau*W with the bound or with G, so no clamp column, active set,
+    residual or trace count changes.  The search hands Z to the model as
+    it is, and only the model's envelope reads the bounds; the final check
+    reuses Z when every bound is below -tol and evaluates all of G
+    otherwise.  A zero step (a stalled search) leaves x and W as they are, so G(x), V, its
     gradient columns and the residual stand, and only mu moves on.  The
     Newton and fallback directions read that residual rather than
     assembling it again, and both have the K + |V| entries [x; W on V].
@@ -389,7 +390,8 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             # one add per entry of W, on V and off it alike
             dW = np.negative(W)
             dW[V.rows, V.cols] = d[K:]
-            W += alpha * dW
+            np.multiply(dW, alpha, out=dW)
+            W += dW
             if not (np.isfinite(x_next).all() and np.isfinite(W).all()):
                 raise SolverAbort(f"non-finite iterate at iteration {it}")
             if problem.G_step is None:

@@ -202,6 +202,54 @@ def test_check_accepts_solver_output(tmp_path, capsys):
     assert "tau-stationary (tau=0.75): satisfied" in out
 
 
+@pytest.mark.parametrize("with_W", [True, False])
+@pytest.mark.parametrize("preset", [True, False])
+def test_check_passes_its_G_to_the_tau_check(preset, with_W, tmp_path, capsys, monkeypatch):
+    # check evaluates G(x) once for y and the tau check; a tau check that
+    # evaluates G itself, as the library's does without Z, prints the same
+    # bytes with one more call of G
+    if preset:
+        flags = ["--preset", "sec4-3", "--s", "1"]
+        x, W = np.array([1.0, 1.0]), np.array([[1.0, 1.0]])
+    else:
+        flags = [*SOLVE_FLAGS, "--tol", "1e-6"]
+        res = solve(make_norm_opt(10, 1, 100, b=14.0, seed=17),
+                    SolverConfig(s=5, gamma=gamma_for(0.05, 5)))
+        x, W = res.point.x, res.point.W
+    lines = [" ".join(repr(float(v)) for v in x)]
+    lines += [" ".join(repr(float(v)) for v in row) for row in W] if with_W else []
+    pt = tmp_path / "pt.txt"
+    pt.write_text("\n".join(lines) + "\n")
+
+    calls = [0]
+    build = cli.build_instance
+
+    def counted_instance(args):
+        problem = build(args)
+        G = problem.G
+
+        def counted(x):
+            calls[0] += 1
+            return G(x)
+
+        return dataclasses.replace(problem, G=counted)
+
+    monkeypatch.setattr(cli, "build_instance", counted_instance)
+    outputs = []
+    for evaluates in (False, True):
+        if evaluates:
+            plain = cli.check_tau_stationary
+            monkeypatch.setattr(cli, "check_tau_stationary",
+                                lambda *args, Z=None, **kwargs: plain(*args, **kwargs))
+        calls[0] = 0
+        code, out, err = run(capsys, ["check", *flags, "--point", str(pt)])
+        assert code == 0 and err == ""
+        outputs.append((out, calls[0]))
+    (out, calls_once), (out_plain, calls_plain) = outputs
+    assert out == out_plain and "tau-stationary" in out
+    assert calls_once == calls_plain - 1
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--tau", "0"], "argument --tau: must be positive and finite, got 0"),
     (["--tau", "-0.5"], "argument --tau: must be positive and finite, got -0.5"),

@@ -31,6 +31,10 @@ NO_COLS = np.empty(0, dtype=np.intp)
 def test_G_columns_are_the_einsum_bit_for_bit(K, M, N):
     """G is one einsum, and the same einsum over gathered columns gives them back.
 
+    ``_einsum_G`` skips the einsum only where every square of x is zero;
+    ``test_G_at_zero_squares_is_the_einsum_bit_for_bit`` pins that case,
+    and the points here, scaled by 1e-3, 1 or 1e3, all run the einsum.
+
     Three parts of the code rest on this rounding.  ``G_step`` evaluates G
     on a few columns with the einsum over the gathered sample rows, and
     mixes the result into a G it then treats as exact.  The violation
@@ -59,6 +63,64 @@ def test_G_columns_are_the_einsum_bit_for_bit(K, M, N):
         xd = np.ones((K, 2))
         rows, _ = problems_mod._column_model(problem.xi_sq, None, cols, x, xd, problem.b)
         assert rows[0].tobytes() == full[:, cols].tobytes()
+
+
+def zero_square_points(K, rng):
+    """Points whose squares are all zero: +0, -0.0 entries, and squares that underflow."""
+    tiny = rng.choice([-1.0, 1.0], K) * rng.uniform(0.5, 2.0, K) * 1e-170
+    mixed = np.where(rng.random(K) < 0.5, -0.0, tiny)
+    return {"zero": np.zeros(K), "negative zero": np.full(K, -0.0), "tiny": tiny, "mixed": mixed}
+
+
+@pytest.mark.parametrize("K,M,N", [(10, 1, 100), (20, 5, 500), (50, 20, 2000)])
+def test_G_at_zero_squares_is_the_einsum_bit_for_bit(K, M, N):
+    # Where every square of x is zero, G returns -b without reading the
+    # samples.  That is the einsum's result in bytes and in layout, and the
+    # model's own G rows and G_step at a trial point y == 0, which go
+    # through the same function, give the same values.  The shapes are
+    # those of the paper, analysis and wide workloads.
+    problem = make_norm_opt(K, M, N, b=14.0, seed=K)
+    b, xi_sq = problem.b, problem.xi_sq
+    rng = np.random.default_rng(N)
+    block = min(N, problems_mod._MODEL_BLOCK_BYTES // (8 * M * K))
+    cols = np.sort(rng.choice(N, min(N, 2 * block + 1), replace=False))
+    xd = rng.standard_normal((K, 2))
+    # small enough that the bound clears columns after the step v -> 0
+    v = 0.05 * rng.standard_normal(K)
+    for name, x in zero_square_points(K, rng).items():
+        assert not np.count_nonzero(x * x), name
+        want = np.einsum("nmk,k->mn", xi_sq, x * x) - b
+        got = problem.G(x)
+        assert got.tobytes() == want.tobytes(), name
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        for c in (None, cols):
+            rows, _ = problems_mod._column_model(xi_sq, None, c, x, xd, b)
+            assert rows[0].tobytes() == (want if c is None else want[:, c]).tobytes(), name
+    if problem.G_step is None:
+        return
+    zero = problem.G(np.zeros(K))
+    # y = v + 1.0*(-v) is +0 in every entry, and the bound clears the
+    # columns outside exact_cols there; y = 0 + 0*d takes the path without
+    # bounds
+    Z, bounded = problem.G_step(v, -v, 1.0, problem.G(v), cols[:3])
+    assert bounded is not None and bounded.any() and not bounded[cols[:3]].any()
+    assert Z[:, ~bounded].tobytes() == zero[:, ~bounded].tobytes()
+    assert (Z[:, bounded] < 0.0).all()
+    Z, bounded = problem.G_step(np.zeros(K), v, 0.0, zero, NO_COLS)
+    assert bounded is None and Z.tobytes() == zero.tobytes()
+
+
+def test_G_at_zero_squares_reads_no_sample():
+    # NaN samples turn G NaN wherever it reads them, but not where every
+    # square of x is zero
+    problem = make_norm_opt(10, 1, 100, b=14.0, seed=3)
+    problem.xi_sq[...] = np.nan
+    rng = np.random.default_rng(0)
+    for name, x in zero_square_points(problem.K, rng).items():
+        got = problem.G(x)
+        assert (got == -problem.b).all() and got.shape == (problem.M, problem.N), name
+    assert np.isnan(problem.G(np.full(problem.K, 1e-3))).all()
 
 
 # samples over many row blocks, so that the instance has the envelope and
