@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .geometry import step_norm
+
 __all__ = [
     "dkw_sample_size",
     "feasibility_sample_size",
@@ -106,7 +108,9 @@ def monte_carlo_feasibility(draw, x, alpha: float, s: int, N: int,
     whether the trial passes (estimate <= alpha).  Returns passes divided by
     qualifying trials; trials use independently derived per-trial seeds.
 
-    Raises RuntimeError when no trial qualifies.
+    Both draws are counted by ``step_norm``, so a draw that is not a
+    nonempty 2-d matrix of finite values raises ValueError.  Raises
+    RuntimeError when no trial qualifies.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
@@ -117,12 +121,10 @@ def monte_carlo_feasibility(draw, x, alpha: float, s: int, N: int,
     passes = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        sample = np.asarray(draw(x, N, rng), dtype=float)
-        if int(np.count_nonzero(sample.max(axis=0) > 0.0)) > s:
+        if step_norm(draw(x, N, rng)) > s:
             continue
         qualifying += 1
-        hold = np.asarray(draw(x, holdout, rng), dtype=float)
-        violation = np.count_nonzero(hold.max(axis=0) > 0.0) / holdout
+        violation = step_norm(draw(x, holdout, rng)) / holdout
         if violation <= alpha:
             passes += 1
     if qualifying == 0:

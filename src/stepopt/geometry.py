@@ -90,7 +90,7 @@ def column_partition(Z, ztol: float = 0.0) -> ColumnPartition:
 
 def _partition(Z: np.ndarray, ztol: float) -> ColumnPartition:
     """``column_partition`` of a matrix ``_as_matrix`` has already checked."""
-    if ztol < 0:
+    if not ztol >= 0:
         raise ValueError(f"ztol must be >= 0, got {ztol}")
     col_max = Z.max(axis=0)
     pos_norms = np.linalg.norm(np.maximum(Z, 0.0), axis=0)
@@ -233,7 +233,7 @@ def is_candidate_set(Z, s: int, cols, ztol: float = 0.0) -> bool:
     Z = _as_matrix(Z)
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
-    if ztol < 0:
+    if not ztol >= 0:
         raise ValueError(f"ztol must be >= 0, got {ztol}")
     cols = np.asarray(cols).astype(int)
     N = Z.shape[1]
@@ -295,7 +295,8 @@ def fixed_point_check(Z, W, tau: float, s: int, tol: float = 0.0) -> bool:
     the s-th largest positive-part norm of Z divided by tau.  More than s
     violating columns always fails.
 
-    All comparisons are within ``tol``.
+    All comparisons are within ``tol``.  ``tau`` must be positive and
+    finite.
     """
     Z = _as_matrix(Z)
     W = np.asarray(W, dtype=float)
@@ -303,8 +304,8 @@ def fixed_point_check(Z, W, tau: float, s: int, tol: float = 0.0) -> bool:
         raise ValueError(f"W shape {W.shape} does not match Z shape {Z.shape}")
     if not np.all(np.isfinite(W)):
         raise ValueError("W has non-finite entries")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
 

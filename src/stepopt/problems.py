@@ -17,13 +17,14 @@ while the search's cap leaves a step open.  The model bounds every trial
 step in one pass, counting each set of columns it adds at all steps at
 once.  On the same samples the instance bounds G after a step
 (``G_step``): a per-column bound of the same kind proves most columns
-negative at the new point, and G is evaluated only on the rest, with the
-same einsum over their gathered rows, so those columns are G bit for bit.
-The envelope reads such bounds as they are; the exact model evaluates G
-with that einsum on the columns it models, over the rows it reads for its
-coefficients.  All three go through one function, which gives G as -b
-without reading any sample at a point whose squares are all zero, such
-as the solver's default start.
+below a ceiling the caller sets per column at the new point, and G is
+evaluated only on the rest, with the same einsum over their gathered
+rows, so those columns are G bit for bit.  The envelope reads such
+bounds as they are; the exact model evaluates G with that einsum on the
+columns it models, over the rows it reads for its coefficients.  All
+three go through one function, which gives G as -b without reading any
+sample at a point whose squares are all zero, such as the solver's
+default start.
 """
 from __future__ import annotations
 
@@ -61,9 +62,9 @@ _EXACT_HI = 2.0 ** 511
 # envelope of the violation model.
 _SUBNORMAL = 2.0 ** -1074
 # The envelope (_clear_steps) runs only on instances whose weights are at
-# most _ENV_HI and b at least _ENV_LO^2, and for directions with ||d||_inf
-# at least _ENV_LO.  The weights are floored at _ENV_LO, which only lowers
-# its thresholds.
+# most _ENV_HI and b in [_ENV_LO^2, _SAFE_VAL], and for directions with
+# ||d||_inf at least _ENV_LO.  The weights are floored at _ENV_LO, which
+# only lowers its thresholds.
 _ENV_LO = 2.0 ** -256
 _ENV_HI = 2.0 ** 400
 # the empty patch (positions, magnitudes), shared by the instances that need none
@@ -131,15 +132,15 @@ class ProblemInstance:
         is called.  A Z from ``G_step`` is read only as upper bounds on the
         columns of G(x).
     G_step : callable, optional
-        ``G_step(x, d, alpha, Z, exact_cols)``, with Z = G(x), or Z from an
-        earlier ``G_step`` call, gives ``(G(y), bounded)`` at the trial point
-        ``y = x + alpha * d``, rounded as that expression rounds.  Columns
-        where ``bounded``, a boolean (N,) mask, is True hold one number each,
-        an upper bound below zero on every entry of G(y) there; all other
-        columns, among them ``exact_cols``, hold G(y) bit for bit.
-        ``bounded`` is None when no column is bounded.  ``solve`` passes the
-        columns where its multipliers are nonzero as ``exact_cols``, so
-        that a bounded column is negative in G + tau*W either way, and
+        ``G_step(x, d, alpha, Z, ceiling)``, with Z = G(x), or Z from an
+        earlier ``G_step`` call, gives G(y) at the trial point
+        ``y = x + alpha * d``, rounded as that expression rounds.
+        ``ceiling`` is an (N,) array of numbers at most zero.  A column may
+        hold one number, an upper bound on every entry of G(y) there, only
+        where that bound is below ``ceiling[n]``; every other column holds
+        G(y) bit for bit.  ``solve`` passes -inf where its multipliers are
+        nonzero and -tol elsewhere, so that a bounded column is below the
+        zero tolerance of G + tau*W and of its final check either way, and
         hands G(y) to ``violations_along`` as it is.
     """
 
@@ -453,9 +454,10 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
     # samples larger than one row block, where the model's cost is the
     # bytes it reads; on smaller ones the model reads every column in place.
     # Its weights W[n] = max_m sqrt(sum_k xi_sq[n, m, k]) carry the relative
-    # slack g and the floor _ENV_LO; ``slack`` is its absolute one.
+    # slack g and the floor _ENV_LO; ``slack`` is its absolute one.  G_step
+    # exists exactly where W does, so only there may a Z hold bounds.
     W = None
-    if xi_sq.nbytes > _MODEL_BLOCK_BYTES and b >= _ENV_LO * _ENV_LO:
+    if xi_sq.nbytes > _MODEL_BLOCK_BYTES and _ENV_LO * _ENV_LO <= b <= _SAFE_VAL:
         g = (8 * K + 64) * _UNIT
         W = np.sqrt(np.einsum("nmk->nm", xi_sq).max(axis=1))
         np.multiply(W, 1.0 + g, out=W)
@@ -465,33 +467,25 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         if W.max() > _ENV_HI:
             W = None
 
-    def G_step(x, d, alpha, Z, exact_cols):
-        # G at the trial point on exact_cols and on every column whose
-        # bound (see _step_bounds) is not below zero, the bound elsewhere
+    def G_step(x, d, alpha, Z, ceiling):
+        # G at the trial point, but the bound (see _step_bounds) on every
+        # column where it is below the ceiling
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
         y = x + alpha * d
         z = Z.max(axis=0)
         step = alpha * float(np.abs(d).max())
         if not (step >= _ENV_LO and z.max() + b <= _SAFE_VAL):
-            return _einsum_G(xi_sq, y, b), None
+            return _einsum_G(xi_sq, y, b)
         with np.errstate(over="ignore"):
             bound = _step_bounds(z, step, W, b, slack)
-        bounded = bound < 0.0
-        bounded[exact_cols] = False
-        if not bounded.any():
-            return _einsum_G(xi_sq, y, b), None
-        cols = np.flatnonzero(~bounded)
+        cols = np.flatnonzero(~(bound < ceiling))
+        if cols.size == N:
+            return _einsum_G(xi_sq, y, b)
         out = np.empty((M, N))
         out[:] = bound
         out[:, cols] = _einsum_G(np.take(xi_sq, cols, axis=0), y, b)
-        return out, bounded
-
-    # Z may come from G_step, and hold bounds, only on an instance that has
-    # it; there the model evaluates G(x) on the columns it models.  The
-    # envelope path always does: without G_step it runs only when b passes
-    # _SAFE_VAL, and then the model gives None whatever Z is.
-    has_step = W is not None and b <= _SAFE_VAL
+        return out
 
     def violations_along(x, d, Z, alphas, cap):
         # The steps are copied once, as rows (1, a, a^2) of step powers, so
@@ -526,7 +520,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         if not (dmax >= _ENV_LO and Z.max() + b <= _SAFE_VAL):
             # without the envelope: every column, at every step
             with quiet:
-                model = _column_model(xi_sq, None if has_step else Z, None, x, xd, b)
+                model = _column_model(xi_sq, Z if W is None else None, None, x, xd, b)
             return None if model is None else count(*model, None, powers)
         # S, the columns the model covers, is the first ``done`` columns of
         # ``order``, by increasing envelope threshold; ``unsafe[j]`` columns
@@ -602,7 +596,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         f=f, grad_f=grad_f, hess_lagrangian=hess_lagrangian,
         G=G, grad_G_cols=grad_G_cols,
         f_batch=f_batch, G_batch=G_batch, violations_along=violations_along,
-        G_step=G_step if has_step else None,
+        G_step=None if W is None else G_step,
         xi_sq=xi_sq, xi_signs=signs, xi_patch_at=patch_at, xi_patch_mag=patch_mag,
         b=float(b),
         lambda1=float(lambda1), lambda2=float(lambda2), seed=seed,
@@ -645,6 +639,8 @@ def norm_opt_draw(K: int, M: int, b: float = _DEFAULT_B):
     """
     if K < 1 or M < 1:
         raise ValueError(f"dimensions must be positive, got K={K} M={M}")
+    if not 0 < b < math.inf:
+        raise ValueError(f"threshold b must be positive and finite, got {b}")
     per_chunk = max(1, _DRAW_CHUNK_ENTRIES // (M * K))
 
     def draw(x, count, rng):

@@ -13,10 +13,11 @@ every trial step against the search's cap, and G decides only the steps
 whose bounds straddle it.  Problems that bound G after a step
 (``ProblemInstance.G_step``) let the iteration evaluate G at a new iterate
 only on the columns where the multipliers are nonzero and those the bound
-cannot prove negative.  The other columns hold the bound; they are
-negative with it as with G, so the clamp columns, the active set, the
-residual and the trace come out the same.  The line search passes that
-G on to the model, which reads it only as upper bounds.
+cannot prove below -tol, the zero tolerance of the final check.  The other
+columns hold the bound; they are below -tol with it as with G, so the
+clamp columns, the active set, the residual, the trace and the final
+check come out the same.  The line search passes that G on to the model,
+which reads it only as upper bounds.
 """
 from __future__ import annotations
 
@@ -240,9 +241,10 @@ def feasibility_line_search(problem: ProblemInstance, x: np.ndarray, d_x: np.nda
     A problem with a ``violations_along`` hook bounds the violation count
     of each trial step, the full step included, from a model of G along
     the ray (``Z`` is G(x), or the problem's own ``G_step`` output there,
-    read only by the model), and G is called only for a step whose bounds
-    straddle the cap.  The hook is given the cap, so that it tightens its
-    bounds only where the cap leaves a step open.
+    which may hold upper bounds on some columns and is read only by the
+    model), and G is called only for a step whose bounds straddle the cap.
+    The hook is given the cap, so that it tightens its bounds only where
+    the cap leaves a step open.
     ``full_step_first`` tries the full step with G before building the
     model, which pays off when the full step is likely to pass.  Without
     the hook every trial step goes to G.  The result equals that of
@@ -301,13 +303,14 @@ def solve(problem: ProblemInstance, config: SolverConfig,
     start calls ``problem.G``; at the default start, the origin, the
     norm-design instance gives -b there without reading its samples.  After
     a step, a problem with ``G_step`` evaluates G only on the columns where
-    W is nonzero and on those its bound cannot prove negative, and keeps
-    the bound on the rest, where W is zero.  Those columns are negative in
-    G(x) + tau*W with the bound or with G, so no clamp column, active set,
-    residual or trace count changes.  The search hands Z to the model as
-    it is, and only the model's envelope reads the bounds; the final check
-    reuses Z when every bound is below -tol and evaluates all of G
-    otherwise.  A zero step (a stalled search) leaves x and W as they are, so G(x), V, its
+    W is nonzero and on those its bound cannot prove below -tol, and keeps
+    the bound on the rest, where W is zero.  Those columns are below -tol
+    in G(x) + tau*W with the bound or with G, so no clamp column, active
+    set, residual or trace count changes, and the final check, whose zero
+    tolerance is tol, takes the last Z as it is: such a solve evaluates
+    all of G at an iterate only at the start.  The search hands Z to the
+    model as it is, and only the model's envelope reads the bounds.  A zero
+    step (a stalled search) leaves x and W as they are, so G(x), V, its
     gradient columns and the residual stand, and only mu moves on.  The
     Newton and fallback directions read that residual rather than
     assembling it again, and both have the K + |V| entries [x; W on V].
@@ -345,7 +348,7 @@ def solve(problem: ProblemInstance, config: SolverConfig,
         F = stationarity_residual(problem, point, V, Z=Z, Gv=Gv)
         return V, Gv, F, float(np.linalg.norm(F))
 
-    Z, bounded = problem.G(x), None
+    Z = problem.G(x)
     V, Gv, F, res = refresh(x, W, Z)
     mu = min(_MU_BAR, _RHO * res)
 
@@ -397,19 +400,16 @@ def solve(problem: ProblemInstance, config: SolverConfig,
             if problem.G_step is None:
                 Z = problem.G(x_next)
             else:
-                # exact where W is nonzero, so that lam is exact there
-                Z, bounded = problem.G_step(x, d[:K], alpha, Z, np.flatnonzero(W.any(axis=0)))
+                # exact where W is nonzero, so that lam is exact there, and
+                # bounded only below -tol, the zero tolerance of the checks
+                Z = problem.G_step(x, d[:K], alpha, Z, np.where(W.any(axis=0), -np.inf, -tol))
             x = x_next
             V, Gv, F, res = refresh(x, W, Z)
         mu = min(_NU * mu, _RHO * res)
         it += 1
 
     final_pt = PrimalDualPoint(x, W)
-    # The report reads a column below -tol, its zero tolerance, only as
-    # below it, and W is zero on the bounded columns, so bounds below -tol
-    # serve it as G would.
-    reuse = bounded is None or Z[0, bounded].max() < -tol
-    report = check_tau_stationary(problem, final_pt, tau, s, tol=tol, Z=Z if reuse else None)
+    report = check_tau_stationary(problem, final_pt, tau, s, tol=tol, Z=Z)
     return SolveResult(point=final_pt, status=status, iterations=it,
                        final_residual=res, trace=tuple(trace),
                        final_report=report, active=V)

@@ -158,6 +158,8 @@ def active_set(lam: np.ndarray, cols, ztol: float = 0.0) -> ActiveSet:
 
     Only the columns in ``cols`` are read.
     """
+    if not ztol >= 0:
+        raise ValueError(f"ztol must be >= 0, got {ztol}")
     # ascending and unique, so that the set comes out column-major
     picked = np.zeros(lam.shape[1], dtype=bool)
     picked[np.asarray(cols, dtype=int)] = True
@@ -300,7 +302,7 @@ def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if ztol is None:
         ztol = tol
-    if ztol < 0:
+    if not ztol >= 0:
         raise ValueError(f"ztol must be >= 0, got {ztol}")
     Z = _as_matrix(problem.G(point.x) if Z is None else Z)
     # Z and lam are each checked and partitioned once: Z here, lam inside

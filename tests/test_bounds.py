@@ -209,6 +209,27 @@ def test_mc_norm_design_guarantee_direction():
     assert rate == 1.0
 
 
+def test_mc_rejects_draws_that_are_not_finite_2d_matrices():
+    # An all-NaN draw has no column maximum above zero, so it counted as
+    # feasible and every trial passed.  The sample and the hold-out are
+    # both counted by step_norm, which rejects it, as does norm_opt_draw
+    # with a NaN b.
+    def nan_draw(x, count, rng):
+        return np.full((1, count), np.nan)
+
+    def nan_holdout(x, count, rng):
+        return -np.ones((1, count)) if count == 10 else np.full((1, count), np.nan)
+
+    def flat_draw(x, count, rng):
+        return -np.ones(count)
+
+    args = dict(alpha=0.1, s=1, N=10, trials=3, seed=0, holdout=50)
+    for draw, message in ((nan_draw, "non-finite"), (nan_holdout, "non-finite"),
+                          (flat_draw, "2-d")):
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_feasibility(draw, np.zeros(2), **args)
+
+
 def test_mc_rejects_bad_ranges():
     with pytest.raises(ValueError):
         monte_carlo_feasibility(always_slack, np.zeros(2), alpha=1.0, s=1,

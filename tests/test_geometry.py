@@ -1,5 +1,6 @@
 """Projection geometry: brute-force oracles, worked fixtures, random trials."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -194,6 +195,14 @@ class TestFixedPoint:
 
     def test_over_budget_always_false(self):
         assert not fixed_point_check(Z_WORKED, np.zeros_like(Z_WORKED), 0.75, 1)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_tau_that_is_not_positive_and_finite(self, tau):
+        # an infinite tau gave False, where tau = 0.75 gives True, with a
+        # RuntimeWarning from inf * 0
+        assert fixed_point_check([[1.0, 0.0, -1.0]], np.zeros((1, 3)), 0.75, 1)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            fixed_point_check([[1.0, 0.0, -1.0]], np.zeros((1, 3)), tau, 1)
 
     def test_agrees_with_projection_membership(self):
         rng = np.random.default_rng(101)

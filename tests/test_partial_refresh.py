@@ -1,13 +1,13 @@
 """Partial refresh: G at a new iterate, exact only where a bound cannot clear it.
 
 After an accepted step ``solve`` gets G at the new iterate from the
-problem's ``G_step``.  The norm-design instance evaluates G exactly on the
-columns where the multipliers are nonzero and on every column whose bound
-(``_step_bounds``) does not come out below zero, and keeps that bound
-elsewhere.  These tests pin the rounding that makes the exact columns
-bit-identical to G, check the bound entry by entry along chains of steps,
-and compare solves and line searches that read a bounded G with those
-that read the full one.
+problem's ``G_step``, with a ceiling per column: -inf where the
+multipliers are nonzero and -tol elsewhere.  The norm-design instance
+evaluates G exactly on every column whose bound (``_step_bounds``) does not
+come out below its ceiling, and keeps that bound elsewhere.  These tests
+pin the rounding that makes the exact columns bit-identical to G, check
+the bound entry by entry along chains of steps, and compare solves and
+line searches that read a bounded G with those that read the full one.
 """
 import dataclasses
 import math
@@ -24,7 +24,19 @@ from stepopt.problems import make_norm_opt
 from stepopt.solver import SolverConfig, feasibility_line_search, gamma_for, solve
 from stepopt.stationarity import PrimalDualPoint
 
-NO_COLS = np.empty(0, dtype=np.intp)
+
+def bounded_columns(Z, want, ceiling):
+    """Mask of the columns where ``G_step``'s ``Z`` is not ``want`` = G bit for bit.
+
+    Each of them must hold one number, below the column's ceiling and at
+    least the column's maximum of G.
+    """
+    differ = ((Z != want) | (np.signbit(Z) != np.signbit(want))).any(axis=0)
+    bound = Z[0, differ]
+    assert (Z[:, differ] == bound).all()
+    assert (bound < ceiling[differ]).all()
+    assert (want[:, differ].max(axis=0) <= bound).all()
+    return differ
 
 
 @pytest.mark.parametrize("K,M,N", [(10, 1, 100), (20, 5, 500), (50, 20, 2000)])
@@ -101,14 +113,14 @@ def test_G_at_zero_squares_is_the_einsum_bit_for_bit(K, M, N):
         return
     zero = problem.G(np.zeros(K))
     # y = v + 1.0*(-v) is +0 in every entry, and the bound clears the
-    # columns outside exact_cols there; y = 0 + 0*d takes the path without
-    # bounds
-    Z, bounded = problem.G_step(v, -v, 1.0, problem.G(v), cols[:3])
-    assert bounded is not None and bounded.any() and not bounded[cols[:3]].any()
-    assert Z[:, ~bounded].tobytes() == zero[:, ~bounded].tobytes()
-    assert (Z[:, bounded] < 0.0).all()
-    Z, bounded = problem.G_step(np.zeros(K), v, 0.0, zero, NO_COLS)
-    assert bounded is None and Z.tobytes() == zero.tobytes()
+    # columns whose ceiling is zero there; y = 0 + 0*d takes the path
+    # without bounds
+    ceiling = np.zeros(N)
+    ceiling[cols[:3]] = -np.inf
+    bounded = bounded_columns(problem.G_step(v, -v, 1.0, problem.G(v), ceiling), zero, ceiling)
+    assert bounded.any()
+    Z = problem.G_step(np.zeros(K), v, 0.0, zero, np.zeros(N))
+    assert Z.tobytes() == zero.tobytes()
 
 
 def test_G_at_zero_squares_reads_no_sample():
@@ -135,18 +147,20 @@ STEP_CHOICES = list(solver_mod._STEPS) + [1e-8, 1e-300, 0.0]
        edge=st.sampled_from(["none", "below", "zero"]), where=st.integers(0, 3),
        ulps=st.integers(1, 4), at=st.lists(st.integers(0, len(STEP_CHOICES) - 1),
                                            min_size=3, max_size=3),
-       aligned=st.booleans(), keep=st.integers(0, 30))
+       aligned=st.booleans(), keep=st.integers(0, 30),
+       tol=st.sampled_from([1e-9, 1e-4, 1.0]), share=st.sampled_from([0.0, 0.5, 1.0]))
 def test_step_bounds_hold_along_chains_of_steps(seed, point, scale, edge, where, ulps, at,
-                                                aligned, keep):
+                                                aligned, keep, tol, share):
     # Three steps in a row, each from the point the last one reached and
     # from the G that G_step gave there, so that bounds stand in for G in
     # the later calls.  The largest entry of G is a few ulps below zero
     # ("below") or exactly zero ("zero", b taken from G's own arithmetic)
     # at one point of the chain.  An aligned chain moves along the signs of
     # x, with entries of one magnitude, where the bound's two inequalities
-    # hold with equality.  Every bounded column must be below zero and
-    # bound every entry of G there; every other column, and every column
-    # in exact_cols, must be G bit for bit.
+    # hold with equality.  The ceilings mix -inf (``keep`` columns), -tol
+    # (a ``share`` of the rest) and 0.  Every column that is not G bit for
+    # bit must hold one number, below its ceiling and at least G's column
+    # maximum there.
     K, M, N = ENV_DIMS
     rng = np.random.default_rng(point)
     if aligned:
@@ -168,20 +182,12 @@ def test_step_bounds_hold_along_chains_of_steps(seed, point, scale, edge, where,
         for _ in range(ulps if edge == "below" else 0):
             b = float(np.nextafter(b, np.inf))
     problem = make_norm_opt(K, M, N, b=b, seed=seed)
-    exact_cols = np.sort(rng.choice(N, keep, replace=False))
+    ceiling = np.where(rng.random(N) < share, -tol, 0.0)
+    ceiling[rng.choice(N, keep, replace=False)] = -np.inf
     Z = problem.G(x)
     for y, d, a, y_next in zip(points, directions, alphas, points[1:]):
-        Z, bounded = problem.G_step(y, d, a, Z, exact_cols)
-        want = problem.G(y_next)
-        if bounded is None:
-            assert Z.tobytes() == want.tobytes()
-            continue
-        assert not bounded[exact_cols].any()
-        assert Z[:, ~bounded].tobytes() == want[:, ~bounded].tobytes()
-        bound = Z[0, bounded]
-        assert (Z[:, bounded] == bound).all()
-        assert (bound < 0.0).all()
-        assert (want[:, bounded].max(axis=0) <= bound).all()
+        Z = problem.G_step(y, d, a, Z, ceiling)
+        bounded_columns(Z, problem.G(y_next), ceiling)
 
 
 # an instance with G_step, at a threshold where the budget binds
@@ -194,16 +200,16 @@ def full_refresh(problem):
 
 
 def with_recorded_steps(problem):
-    """The same instance with a G_step that records its ``bounded`` masks."""
-    masks = []
+    """The same instance with a G_step that records its Z and bounded columns."""
+    steps = []
     G_step = problem.G_step
 
-    def recorded(*args):
-        out = G_step(*args)
-        masks.append(out[1])
+    def recorded(x, d, alpha, Z, ceiling):
+        out = G_step(x, d, alpha, Z, ceiling)
+        steps.append((out, bounded_columns(out, problem.G(x + alpha * d), ceiling)))
         return out
 
-    return dataclasses.replace(problem, G_step=recorded), masks
+    return dataclasses.replace(problem, G_step=recorded), steps
 
 
 def report_fields(report):
@@ -217,7 +223,7 @@ def test_solve_with_partial_refresh_equals_solve_with_full(seed):
     # columns, which G_step must then evaluate exactly: the same bytes of
     # x and W, status, iterations, trace, final residual and final report.
     K, M, N, b = PARITY_DIMS
-    problem, masks = with_recorded_steps(make_norm_opt(K, M, N, b=b, seed=seed))
+    problem, steps = with_recorded_steps(make_norm_opt(K, M, N, b=b, seed=seed))
     s = math.ceil(0.05 * N)
     config = SolverConfig(s=s, gamma=gamma_for(0.05, s), max_it=30)
     rng = np.random.default_rng(seed)
@@ -225,7 +231,7 @@ def test_solve_with_partial_refresh_equals_solve_with_full(seed):
     cols = rng.choice(N, 20, replace=False)
     W[:, cols] = rng.uniform(0.0, 1.0, (M, cols.size))
     for start in (None, PrimalDualPoint(rng.uniform(0.0, 0.5, K), W)):
-        masks.clear()
+        steps.clear()
         got = solve(problem, config, start)
         want = solve(full_refresh(problem), config, start)
         assert got.point.x.tobytes() == want.point.x.tobytes()
@@ -235,17 +241,16 @@ def test_solve_with_partial_refresh_equals_solve_with_full(seed):
         assert report_fields(got.final_report) == report_fields(want.final_report)
         assert got.active == want.active
         # the refreshes were partial, and the budget bound some iterates
-        assert any(mask is not None for mask in masks)
+        assert any(mask.any() for _, mask in steps)
         assert max(rec.violations for rec in got.trace) > 0
         if start is not None:
-            assert all(not mask[cols].any() for mask in masks if mask is not None)
+            assert all(not mask[cols].any() for _, mask in steps)
 
 
-def test_final_report_reuses_Z_only_when_every_bound_is_below_tol(monkeypatch):
-    # The final check is given the last refresh's Z when every bound in it
-    # is below -tol, and evaluates all of G otherwise.  Its report equals
-    # that of a check that evaluates G either way.  Both branches occur
-    # over the seeds and tolerances.
+def test_final_report_takes_the_last_Z(monkeypatch):
+    # The final check is given the last refresh's Z as it is, bounds and
+    # all, and its report equals that of a check that evaluates G.  Some
+    # of the last refreshes bounded columns.
     K, M, N, b = 50, 20, 200, 40.0
     given = []
     plain = solver_mod.check_tau_stationary
@@ -255,29 +260,22 @@ def test_final_report_reuses_Z_only_when_every_bound_is_below_tol(monkeypatch):
         return plain(*args, Z=Z, **kwargs)
 
     monkeypatch.setattr(solver_mod, "check_tau_stationary", recorded)
-    branches = set()
+    bounded = 0
     for tol_scale in (1e-9, 1e-6):
         for seed in range(6):
-            problem = make_norm_opt(K, M, N, b=b, seed=seed)
-            steps = []
-
-            def stepped(*args, G_step=problem.G_step):
-                steps.append(G_step(*args))
-                return steps[-1]
-
+            problem, steps = with_recorded_steps(make_norm_opt(K, M, N, b=b, seed=seed))
             s = math.ceil(0.05 * N)
             config = SolverConfig(s=s, gamma=gamma_for(0.05, s), max_it=30, tol_scale=tol_scale)
             given.clear()
-            res = solve(dataclasses.replace(problem, G_step=stepped), config)
+            res = solve(problem, config)
             tol = tol_scale * K * M * N
             assert steps
-            Z, bounded = steps[-1]
-            reused = bounded is None or bool(Z[0, bounded].max() < -tol)
-            assert len(given) == 1 and given[0] is (Z if reused else None)
+            Z, mask = steps[-1]
+            assert len(given) == 1 and given[0] is Z
             want = plain(problem, res.point, config.tau, s, tol=tol)
             assert report_fields(res.final_report) == report_fields(want)
-            branches.add(reused)
-    assert branches == {True, False}
+            bounded += bool(mask.any())
+    assert bounded > 0
 
 
 def decisions(lo, hi, cap):
@@ -324,10 +322,12 @@ def test_model_decides_as_with_exact_values_where_Z_is_bounded(monkeypatch):
         x0 = rng.uniform(0.0, 0.4, K)
         d0 = rng.uniform(0.0, 0.4, K)
         a0 = float(steps[int(rng.integers(0, 10))])
-        Zb, bounded = problem.G_step(x0, d0, a0, problem.G(x0), NO_COLS)
-        assert bounded is not None
+        ceiling = np.zeros(N)
+        Zb = problem.G_step(x0, d0, a0, problem.G(x0), ceiling)
         x = x0 + a0 * d0
         Z = problem.G(x)
+        bounded = bounded_columns(Zb, Z, ceiling)
+        assert bounded.any()
         for d in (rng.standard_normal(K), rng.uniform(0.0, 1.0, K), np.full(K, 2.0 ** -300)):
             for s, gamma in ((5, 0.5), (50, 0.06), (200, 0.0)):
                 cap = (gamma + 1.0) * s

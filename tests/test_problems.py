@@ -374,6 +374,13 @@ class TestDrawFamily:
         with pytest.raises(ValueError, match="dimensions must be positive"):
             norm_opt_draw(K, M)
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_threshold_rejected(self, b):
+        # as _build_norm_opt checks it; a NaN b gave NaN values, which a
+        # Monte-Carlo check counted as feasible
+        with pytest.raises(ValueError, match="threshold b must be positive and finite"):
+            norm_opt_draw(3, 2, b=b)
+
     def test_matches_instance_law(self):
         draw = norm_opt_draw(3, 2, b=10.0)
         rng = np.random.default_rng(77)

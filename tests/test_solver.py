@@ -520,9 +520,9 @@ def test_zero_steps_return_the_start_byte_for_byte(monkeypatch):
         calls["G"] += 1
         return np.ones((M, N))
 
-    def G_step(x, d, alpha, Z, exact_cols):
+    def G_step(x, d, alpha, Z, ceiling):
         calls["G_step"] += 1
-        return G(x + alpha * d), None
+        return G(x + alpha * d)
 
     def residual(*args, **kwargs):
         calls["residual"] += 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stepopt.geometry import project_step
+from stepopt.geometry import column_partition, is_candidate_set, project_step
 from stepopt.problems import ProblemInstance, make_counterexample, make_norm_opt
 from stepopt.stationarity import (
     ActiveSet,
@@ -295,6 +295,25 @@ class TestTauStationary:
         for tau in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tau must be positive and finite"):
                 check_tau_stationary(p, pt, tau=tau, s=1)
+
+    def test_rejects_a_nan_zero_tolerance(self):
+        # NaN passes a test of ztol < 0 and then empties every class: here 7
+        # columns violate against s = 1, and the check reported the point
+        # tau-stationary, max_stationary_tau gave inf and the partition was
+        # empty.  A NaN tol is the check's default ztol.
+        problem = make_norm_opt(3, 1, 10, b=1.0, seed=0)
+        x = np.ones(3)
+        Z = problem.G(x)
+        assert np.count_nonzero(Z.max(axis=0) > 0.0) == 7
+        pt = PrimalDualPoint(x, np.zeros((1, 10)))
+        for call in (lambda: check_tau_stationary(problem, pt, 0.75, 1, ztol=math.nan),
+                     lambda: check_tau_stationary(problem, pt, 0.75, 1, tol=math.nan),
+                     lambda: max_stationary_tau(problem, x, 1, ztol=math.nan),
+                     lambda: column_partition(Z, ztol=math.nan),
+                     lambda: is_candidate_set(Z, 1, np.arange(10), ztol=math.nan),
+                     lambda: active_set(Z, np.arange(10), ztol=math.nan)):
+            with pytest.raises(ValueError, match="ztol must be >= 0"):
+                call()
 
     def test_given_G_matches_computed_G(self):
         p, pt, _ = self.build_boundary_case()
