@@ -52,7 +52,6 @@ from .stationarity import (
     check_kkt,
     check_tau_stationary,
     max_stationary_tau,
-    smoothed_jacobian,
     stationarity_residual,
 )
 

@@ -109,22 +109,31 @@ def monte_carlo_feasibility(draw, x, alpha: float, s: int, N: int,
     qualifying trials; trials use independently derived per-trial seeds.
 
     Both draws are counted by ``step_norm``, so a draw that is not a
-    nonempty 2-d matrix of finite values raises ValueError.  Raises
-    RuntimeError when no trial qualifies.
+    nonempty 2-d matrix of finite values raises ValueError, and so does one
+    with other than ``count`` columns.  Raises RuntimeError when no trial
+    qualifies.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if s < 0 or N < 1 or trials < 1 or holdout < 1:
         raise ValueError("s must be >= 0 and N, trials, holdout >= 1")
     x = np.asarray(x, dtype=float)
+
+    def violations(count, rng):
+        Z = draw(x, count, rng)
+        k = step_norm(Z)  # checks that Z is a 2-d matrix first
+        if np.shape(Z)[1] != count:
+            raise ValueError(f"draw returned {np.shape(Z)[1]} scenarios, asked for {count}")
+        return k
+
     qualifying = 0
     passes = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        if step_norm(draw(x, N, rng)) > s:
+        if violations(N, rng) > s:
             continue
         qualifying += 1
-        violation = step_norm(draw(x, holdout, rng)) / holdout
+        violation = violations(holdout, rng) / holdout
         if violation <= alpha:
             passes += 1
     if qualifying == 0:

@@ -15,11 +15,11 @@ column: the norm of its positive part.
 
 Indices are 0-based throughout.  Column classification compares column
 maxima with zero exactly by default; ``column_partition``,
-``candidate_sets``, ``is_candidate_set`` and ``zero_mask`` take a ``ztol``
-that widens the zero class to [-ztol, ztol].  ``step_norm``,
-``project_step`` and the fixed-point and cone tests classify exactly; the
-``tol`` of the tests loosens only the comparisons that follow, on W, D
-and their column norms and products.
+``candidate_sets`` and ``is_candidate_set`` take a ``ztol`` that widens
+the zero class to [-ztol, ztol].  ``step_norm``, ``project_step`` and the
+fixed-point and cone tests classify exactly; the ``tol`` of the tests
+loosens only the comparisons that follow, on W, D and their column norms
+and products.  Both tolerances must be >= 0, or ValueError is raised.
 """
 from __future__ import annotations
 
@@ -57,6 +57,12 @@ def _as_matrix(Z) -> np.ndarray:
     return Z
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    # NaN fails this test too
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ColumnPartition:
     """Classification of columns by the sign of their maximum entry.
@@ -90,8 +96,7 @@ def column_partition(Z, ztol: float = 0.0) -> ColumnPartition:
 
 def _partition(Z: np.ndarray, ztol: float) -> ColumnPartition:
     """``column_partition`` of a matrix ``_as_matrix`` has already checked."""
-    if not ztol >= 0:
-        raise ValueError(f"ztol must be >= 0, got {ztol}")
+    _check_nonnegative("ztol", ztol)
     col_max = Z.max(axis=0)
     pos_norms = np.linalg.norm(np.maximum(Z, 0.0), axis=0)
     idx = np.arange(Z.shape[1])
@@ -233,8 +238,7 @@ def is_candidate_set(Z, s: int, cols, ztol: float = 0.0) -> bool:
     Z = _as_matrix(Z)
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
-    if not ztol >= 0:
-        raise ValueError(f"ztol must be >= 0, got {ztol}")
+    _check_nonnegative("ztol", ztol)
     cols = np.asarray(cols).astype(int)
     N = Z.shape[1]
     if cols.size and not (cols[0] >= 0 and cols[-1] < N and (cols[1:] > cols[:-1]).all()):
@@ -295,8 +299,8 @@ def fixed_point_check(Z, W, tau: float, s: int, tol: float = 0.0) -> bool:
     the s-th largest positive-part norm of Z divided by tau.  More than s
     violating columns always fails.
 
-    All comparisons are within ``tol``.  ``tau`` must be positive and
-    finite.
+    All comparisons are within ``tol``, which must be >= 0.  ``tau`` must
+    be positive and finite.
     """
     Z = _as_matrix(Z)
     W = np.asarray(W, dtype=float)
@@ -308,6 +312,7 @@ def fixed_point_check(Z, W, tau: float, s: int, tol: float = 0.0) -> bool:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if s < 1:
         raise ValueError(f"violation budget must be >= 1, got {s}")
+    _check_nonnegative("tol", tol)
 
     part = _partition(Z, 0.0)
     k = part.positive.size
@@ -331,31 +336,26 @@ def fixed_point_check(Z, W, tau: float, s: int, tol: float = 0.0) -> bool:
     return bool((tau * col_norms <= z_s + tol).all())
 
 
-def zero_mask(Z: np.ndarray, cols, ztol: float = 0.0) -> np.ndarray:
-    """Boolean mask of the entries of Z in columns ``cols`` with |Z| <= ztol."""
-    mask = np.zeros(Z.shape, dtype=bool)
-    mask[:, cols] = np.abs(Z[:, cols]) <= ztol
-    return mask
-
-
 def normal_cone_member(Z, W, s: int, tol: float = 0.0) -> bool:
     """Test membership of W in the regular normal cone of S at Z.
 
     Z must satisfy step_norm(Z) <= s.  Strictly inside the budget the cone
     is {0}; on the boundary it consists of matrices supported on the zero
-    entries of the zero-max columns with nonnegative values there.
+    entries of the zero-max columns with nonnegative values there.  ``tol``
+    must be >= 0.
     """
     Z = _as_matrix(Z)
     W = np.asarray(W, dtype=float)
     if W.shape != Z.shape:
         raise ValueError(f"W shape {W.shape} does not match Z shape {Z.shape}")
+    _check_nonnegative("tol", tol)
     part = _partition(Z, 0.0)
     k = part.positive.size
     if k > s:
         raise ValueError("Z violates the step-norm budget; cone undefined")
     if k < s:
         return bool(np.linalg.norm(W) <= tol)
-    mask = zero_mask(Z, part.zero)
+    mask = (Z == 0.0) & (part.col_max == 0.0)
     if (W[mask] < -tol).any():
         return False
     return bool((np.abs(W[~mask]) <= tol).all())
@@ -367,12 +367,13 @@ def tangent_cone_member(Z, D, s: int, tol: float = 0.0) -> bool:
     Z must satisfy step_norm(Z) <= s.  D is tangent when at most
     s - step_norm(Z) zero-max columns need to be released: a column must be
     released exactly when it has a zero entry of Z where D exceeds tol, so
-    membership reduces to counting such columns.
+    membership reduces to counting such columns.  ``tol`` must be >= 0.
     """
     Z = _as_matrix(Z)
     D = np.asarray(D, dtype=float)
     if D.shape != Z.shape:
         raise ValueError(f"D shape {D.shape} does not match Z shape {Z.shape}")
+    _check_nonnegative("tol", tol)
     part = _partition(Z, 0.0)
     k = part.positive.size
     if k > s:

@@ -8,7 +8,10 @@ The solver's equation system stacks three blocks for a primal-dual pair
     [ W restricted to the complement of V   ]   (M*N - |V| entries)
 
 Index sets are kept in column-major order so the block layout matches the
-flattening of W.  Besides the residual and its smoothed Jacobian, this
+flattening of W.  Every set the module builds is the True positions of a
+test on G(x) or G(x) + tau*W over some sorted columns: the active set of a
+Newton step, the zeros that the tau check compares it with, and the zeros
+that the multiplier checks fit multipliers on.  Besides the residual, this
 module provides three checkers: the projection-based condition with step
 size tau, the classical nonnegative-multiplier condition, and the weaker
 condition induced by the binary reformulation, plus the largest tau for
@@ -22,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import _as_matrix, column_partition, is_candidate_set, zero_mask
+from .geometry import _as_matrix, _check_nonnegative, column_partition, is_candidate_set
 from .problems import ProblemInstance
 
 __all__ = [
@@ -31,7 +34,6 @@ __all__ = [
     "StationarityReport",
     "active_set",
     "stationarity_residual",
-    "smoothed_jacobian",
     "check_kkt",
     "check_bkkt",
     "check_tau_stationary",
@@ -60,8 +62,8 @@ class ActiveSet:
     as the read-only, strictly increasing positions ``cols*M + rows`` in
     the column-major flattening ``W.T.ravel()``; ``pairs`` gives the same
     positions as a tuple of (row, col) int pairs.  The entries of a matrix
-    off the set are ``np.delete(W.T.ravel(), V.flat)``, in the order of
-    ``complement()``.
+    off the set are ``np.delete(W.T.ravel(), V.flat)``, in column-major
+    order.
     """
 
     def __init__(self, pairs, shape):
@@ -77,17 +79,14 @@ class ActiveSet:
                    np.array([n for _, n in seen], dtype=np.intp), (M, N))
 
     @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "ActiveSet":
-        """The True positions of a boolean (M, N) mask."""
-        # nonzero of the transpose is column-major, unique and in range
-        cols, rows = np.nonzero(mask.T)
-        return cls._trusted(rows, cols, mask.shape)
-
-    @classmethod
-    def _trusted(cls, rows, cols, shape) -> "ActiveSet":
-        """A set from index arrays already unique, in range and column-major."""
+    def _on_columns(cls, mask: np.ndarray, cols: np.ndarray, shape) -> "ActiveSet":
+        """The True positions of an (M, len(cols)) mask over the columns
+        ``cols`` of a matrix of this shape; ``cols`` must be a strictly
+        increasing index array within the shape."""
+        # nonzero of the transpose is column-major and unique
+        at, rows = np.nonzero(mask.T)
         out = cls.__new__(cls)
-        out._init(rows, cols, shape)
+        out._init(rows, cols[at], shape)
         return out
 
     def _init(self, rows, cols, shape):
@@ -98,27 +97,12 @@ class ActiveSet:
         self.rows, self.cols, self.flat = rows, cols, flat
         self.shape = (int(M), int(N))
         self._pairs = None
-        self._complement = None
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         if self._pairs is None:
             self._pairs = tuple(zip(self.rows.tolist(), self.cols.tolist()))
         return self._pairs
-
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=bool)
-        out[self.rows, self.cols] = True
-        return out
-
-    def complement(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and cols of the complementary positions, column-major."""
-        if self._complement is None:
-            ns, ms = np.nonzero(~self.mask().T)
-            ms.flags.writeable = False
-            ns.flags.writeable = False
-            self._complement = (ms, ns)
-        return self._complement
 
     def __len__(self):
         return self.rows.size
@@ -149,23 +133,23 @@ class StationarityReport:
     residual: float
     active: ActiveSet
     witness_W: Optional[np.ndarray] = None
-    tau_max: Optional[float] = None
     reason: Optional[str] = None
 
 
-def active_set(lam: np.ndarray, cols, ztol: float = 0.0) -> ActiveSet:
-    """Positions (m, n) with n in cols where ``lam`` = G(x) + tau*W is >= -ztol.
+def active_set(lam: np.ndarray, cols) -> ActiveSet:
+    """Positions (m, n) with n in cols where ``lam`` = G(x) + tau*W is >= 0.
 
-    Only the columns in ``cols`` are read.
+    Only the columns in ``cols`` are read.  They may come in any order and
+    repeat, but a negative index raises ValueError.
     """
-    if not ztol >= 0:
-        raise ValueError(f"ztol must be >= 0, got {ztol}")
+    cols = np.asarray(cols, dtype=int)
+    if cols.size and cols.min() < 0:
+        raise ValueError(f"column index {cols.min()} is negative")
     # ascending and unique, so that the set comes out column-major
     picked = np.zeros(lam.shape[1], dtype=bool)
-    picked[np.asarray(cols, dtype=int)] = True
+    picked[cols] = True
     cols = np.flatnonzero(picked)
-    at, rows = np.nonzero((lam[:, cols] >= -ztol).T)
-    return ActiveSet._trusted(rows, cols[at], lam.shape)
+    return ActiveSet._on_columns(lam[:, cols] >= 0.0, cols, lam.shape)
 
 
 def stationarity_residual(problem: ProblemInstance, point: PrimalDualPoint,
@@ -189,34 +173,11 @@ def stationarity_residual(problem: ProblemInstance, point: PrimalDualPoint,
     return np.concatenate([g, Z[V.rows, V.cols], W.T.ravel()[off]])
 
 
-def smoothed_jacobian(problem: ProblemInstance, point: PrimalDualPoint,
-                      V: ActiveSet, mu: float) -> np.ndarray:
-    """Dense smoothed Jacobian of the residual in block order [x; W_V; W off V].
-
-    At mu = 0 this is the exact Jacobian; the smoothing subtracts mu from
-    the diagonal of the (V, V) block.
-    """
-    x, W = point.x, point.W
-    K = problem.K
-    L = len(V)
-    Lbar = problem.M * problem.N - L
-    n_tot = K + L + Lbar
-    J = np.zeros((n_tot, n_tot))
-    J[:K, :K] = problem.hess_lagrangian(x, V.rows, V.cols, W[V.rows, V.cols])
-    if L:
-        Gv = problem.grad_G_cols(x, V.rows, V.cols)
-        J[:K, K:K + L] = Gv
-        J[K:K + L, :K] = Gv.T
-        J[K:K + L, K:K + L] = -mu * np.eye(L)
-    if Lbar:
-        J[K + L:, K + L:] = np.eye(Lbar)
-    return J
-
-
 def _nnls_multiplier_check(problem: ProblemInstance, x: np.ndarray, Z: np.ndarray,
                            cols, kind: str, tol: float) -> StationarityReport:
-    """Shared body of the two multiplier-based checks: multipliers on the zeros of Z in cols."""
-    V = ActiveSet.from_mask(zero_mask(Z, cols))
+    """Shared body of the two multiplier-based checks: multipliers on the
+    zeros of Z in the sorted columns ``cols``."""
+    V = ActiveSet._on_columns(Z[:, cols] == 0.0, cols, Z.shape)
     g = problem.grad_f(x)
     if len(V) == 0:
         res = float(np.linalg.norm(g))
@@ -302,8 +263,7 @@ def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if ztol is None:
         ztol = tol
-    if not ztol >= 0:
-        raise ValueError(f"ztol must be >= 0, got {ztol}")
+    _check_nonnegative("ztol", ztol)
     Z = _as_matrix(problem.G(point.x) if Z is None else Z)
     # Z and lam are each checked and partitioned once: Z here, lam inside
     # is_candidate_set
@@ -313,8 +273,7 @@ def check_tau_stationary(problem: ProblemInstance, point: PrimalDualPoint,
 
     # the active set of lam on the zero columns against the zeros of Z there
     on_zero = np.abs(Z[:, zero]) <= ztol
-    at, rows = np.nonzero(on_zero.T)
-    V_star = ActiveSet._trusted(rows, zero[at], Z.shape)
+    V_star = ActiveSet._on_columns(on_zero, zero, Z.shape)
     sets_match = bool(((lam[:, zero] >= -ztol) == on_zero).all())
 
     res = float(np.linalg.norm(stationarity_residual(problem, point, V_star, Z=Z)))
@@ -348,7 +307,7 @@ def max_stationary_tau(problem: ProblemInstance, x: np.ndarray, s: int,
         raise ValueError("point violates the step-norm budget")
     if k < s:
         return float("inf")
-    V = ActiveSet.from_mask(zero_mask(Z, part.zero, ztol))
+    V = ActiveSet._on_columns(np.abs(Z[:, part.zero]) <= ztol, part.zero, Z.shape)
     if len(V) == 0:
         return float("inf")
     coef, _, _, sv = np.linalg.lstsq(problem.grad_G_cols(x, V.rows, V.cols),

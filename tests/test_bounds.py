@@ -230,6 +230,22 @@ def test_mc_rejects_draws_that_are_not_finite_2d_matrices():
             monte_carlo_feasibility(draw, np.zeros(2), **args)
 
 
+def test_mc_rejects_a_draw_with_the_wrong_number_of_scenarios():
+    # A draw of 5 scenarios, each violating with probability 0.5, against a
+    # hold-out of 1000 read as a violation rate of at most 5/1000, so every
+    # trial passed at alpha = 0.1 and the rate was 1.0.
+    def five(x, count, rng):
+        return np.where(rng.random((1, 5)) < 0.5, 1.0, -1.0)
+
+    def short_holdout(x, count, rng):
+        return five(x, count, rng) if count == 1000 else -np.ones((1, count))
+
+    args = dict(alpha=0.1, s=3, N=100, trials=20, seed=0, holdout=1000)
+    for draw, count in ((five, 100), (short_holdout, 1000)):
+        with pytest.raises(ValueError, match=f"draw returned 5 scenarios, asked for {count}"):
+            monte_carlo_feasibility(draw, np.zeros(2), **args)
+
+
 def test_mc_rejects_bad_ranges():
     with pytest.raises(ValueError):
         monte_carlo_feasibility(always_slack, np.zeros(2), alpha=1.0, s=1,

@@ -204,6 +204,15 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             fixed_point_check([[1.0, 0.0, -1.0]], np.zeros((1, 3)), tau, 1)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_rejects_a_tol_that_is_not_nonnegative(self, tol):
+        # a NaN tol passed every comparison it loosens, so this pair, which
+        # fails at tol = 0, read as a fixed point
+        Z, W = [[1.0, -1.0, -2.0]], [[5.0, 7.0, -3.0]]
+        assert not fixed_point_check(Z, W, 0.75, 1, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            fixed_point_check(Z, W, 0.75, 1, tol=tol)
+
     def test_agrees_with_projection_membership(self):
         rng = np.random.default_rng(101)
         for trial in range(200):
@@ -309,6 +318,24 @@ class TestCones:
                 D[mask] = rng.uniform(-1.0, 0.0, size=mask.sum())
                 assert tangent_cone_member(Z, D, s)
                 assert float((W * D).sum()) <= 1e-12
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_normal_cone_rejects_a_tol_that_is_not_nonnegative(self, tol):
+        # either tol called the zero matrix, always in the cone, outside it
+        assert normal_cone_member(self.ZP, np.zeros_like(self.ZP), 2, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            normal_cone_member(self.ZP, np.zeros_like(self.ZP), 2, tol=tol)
+
+    def test_tangent_cone_rejects_a_tol_that_is_not_nonnegative(self):
+        # a NaN tol called a direction tangent that pushes the zero entry of
+        # the only zero-max column up at a full budget, and tol = -1 called
+        # the zero direction not tangent
+        Z = [[1.0, 0.0, -2.0]]
+        assert not tangent_cone_member(Z, [[0.0, 5.0, 0.0]], 1, tol=0.0)
+        assert tangent_cone_member(Z, np.zeros((1, 3)), 1, tol=0.0)
+        for D, tol in (([[0.0, 5.0, 0.0]], math.nan), (np.zeros((1, 3)), -1.0)):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                tangent_cone_member(Z, D, 1, tol=tol)
 
     def test_cones_reject_infeasible_base(self):
         with pytest.raises(ValueError):

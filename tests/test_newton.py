@@ -194,7 +194,7 @@ def test_exactly_singular_system_is_refused_without_a_warning(L):
     problem = constant_problem(np.ones((2, 2)), np.array([[1.0, 1.0], [0.0, 0.0]]),
                                np.array([1.0, -2.0]), np.zeros((1, 2)))
     point = PrimalDualPoint(np.zeros(2), np.zeros((1, 2)))
-    V = ActiveSet.from_mask(np.full((1, 2), L == 2))
+    V = ActiveSet([(0, 0), (0, 1)][:L], (1, 2))
     assert strict(problem, point, V, 0.0) == (None, False)
     assert reference(problem, point, V, 0.0) == (None, False)
 

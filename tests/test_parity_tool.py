@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from stepopt.problems import _build_norm_opt, make_norm_opt
-from stepopt.stationarity import ActiveSet
+from stepopt.stationarity import ActiveSet, active_set
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "parity.py"
@@ -24,9 +24,9 @@ def test_exact_tells_apart_what_equality_does_not():
     assert parity.exact(np.zeros(2)) != parity.exact(np.array([0.0, -0.0]))
     assert parity.exact(np.zeros(2)) != parity.exact(np.zeros((1, 2)))
     assert parity.exact(np.zeros(2)) != parity.exact(np.zeros(2, dtype=np.float32))
-    mask = np.eye(2, dtype=bool)
-    assert parity.exact(ActiveSet.from_mask(mask)) == parity.exact(ActiveSet([(0, 0), (1, 1)], (2, 2)))
-    assert parity.exact(ActiveSet.from_mask(mask)) != parity.exact(ActiveSet([(0, 0)], (2, 2)))
+    eye = active_set(np.eye(2) - 0.5, [0, 1])
+    assert parity.exact(eye) == parity.exact(ActiveSet([(0, 0), (1, 1)], (2, 2)))
+    assert parity.exact(eye) != parity.exact(ActiveSet([(0, 0)], (2, 2)))
 
 
 def test_instance_digests_cover_raw_and_squared_draws():

@@ -214,7 +214,7 @@ def with_recorded_steps(problem):
 
 def report_fields(report):
     return (report.kind, report.satisfied, report.residual.hex(), report.active,
-            report.witness_W.tobytes(), report.tau_max, report.reason)
+            report.witness_W.tobytes(), report.reason)
 
 
 @pytest.mark.parametrize("seed", range(3))

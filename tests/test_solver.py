@@ -36,7 +36,6 @@ from stepopt.stationarity import (
     PrimalDualPoint,
     active_set,
     check_tau_stationary,
-    smoothed_jacobian,
     stationarity_residual,
 )
 
@@ -210,14 +209,13 @@ def test_newton_matches_dense_jacobian_solve():
     F = stationarity_residual(problem, pt, V)
     d, ok = newton_direction(problem, pt, V, mu, F, problem.grad_G_cols(pt.x, V.rows, V.cols))
     assert ok and d.shape == (problem.K + len(V),)
-    J = smoothed_jacobian(problem, pt, V, mu)
+    J = references.smoothed_jacobian(problem, pt, V, mu)
     full = np.linalg.solve(J, -F)
     assert np.allclose(d, full[:problem.K + len(V)], rtol=0, atol=1e-11)
 
     # the identity block of the Jacobian steps the multipliers off V by
     # -W, which solve applies in place of a longer direction
-    crows, ccols = V.complement()
-    assert np.array_equal(full[problem.K + len(V):], -pt.W[crows, ccols])
+    assert np.array_equal(full[problem.K + len(V):], -np.delete(pt.W.T.ravel(), V.flat))
 
 
 def test_newton_with_empty_active_set_is_plain_newton_on_f():

@@ -15,7 +15,6 @@ from stepopt.stationarity import (
     check_kkt,
     check_tau_stationary,
     max_stationary_tau,
-    smoothed_jacobian,
     stationarity_residual,
 )
 
@@ -44,20 +43,15 @@ class TestActiveSet:
     def test_column_major_order(self):
         V = ActiveSet([(1, 1), (0, 0), (0, 1)], (2, 3))
         assert V.pairs == ((0, 0), (0, 1), (1, 1))
-        crows, ccols = V.complement()
-        assert list(zip(crows.tolist(), ccols.tolist())) == [(1, 0), (0, 2), (1, 2)]
+        W = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(np.delete(W.T.ravel(), V.flat),
+                                      [W[1, 0], W[0, 2], W[1, 2]])
 
     def test_rejects_duplicates_and_bounds(self):
         with pytest.raises(ValueError):
             ActiveSet([(0, 0), (0, 0)], (2, 2))
         with pytest.raises(ValueError):
             ActiveSet([(2, 0)], (2, 2))
-
-    def test_mask_round_trip(self):
-        rng = np.random.default_rng(3)
-        mask = rng.random((4, 5)) < 0.4
-        V = ActiveSet.from_mask(mask)
-        np.testing.assert_array_equal(V.mask(), mask)
 
     def test_from_lambda_matrix(self):
         # W = 0 and all zero-max columns: active positions are the zeros
@@ -93,8 +87,7 @@ class TestResidual:
         assert F.shape == (3 + 8,)
         Z = p.G(x)
         np.testing.assert_allclose(F[3:6], [Z[0, 1], Z[1, 1], Z[0, 3]])
-        crows, ccols = V.complement()
-        np.testing.assert_allclose(F[6:], W[crows, ccols])
+        np.testing.assert_allclose(F[6:], np.delete(W.T.ravel(), V.flat))
 
     def test_jacobian_matches_finite_differences(self):
         p = make_norm_opt(4, 2, 5, seed=1)
@@ -102,19 +95,19 @@ class TestResidual:
         for _ in range(5):
             x = rng.uniform(0.5, 1.5, size=4) * rng.choice([-1.0, 1.0], size=4)
             W = rng.uniform(-1.0, 1.0, size=(2, 5))
-            V = ActiveSet.from_mask(rng.random((2, 5)) < 0.4)
+            V = ActiveSet(np.argwhere(rng.random((2, 5)) < 0.4), (2, 5))
+            off = references.complement(V)
 
             def F_of(u):
                 xx = u[:4]
                 WW = np.zeros((2, 5))
                 if len(V):
                     WW[V.rows, V.cols] = u[4:4 + len(V)]
-                crows, ccols = V.complement()
-                WW[crows, ccols] = u[4 + len(V):]
+                WW[off] = u[4 + len(V):]
                 return stationarity_residual(p, PrimalDualPoint(xx, WW), V)
 
-            u0 = np.concatenate([x, W[V.rows, V.cols], W[V.complement()]])
-            J = smoothed_jacobian(p, PrimalDualPoint(x, W), V, mu=0.0)
+            u0 = np.concatenate([x, W[V.rows, V.cols], W[off]])
+            J = references.smoothed_jacobian(p, PrimalDualPoint(x, W), V, mu=0.0)
             h = 1e-6
             for j in range(u0.size):
                 e = np.zeros_like(u0)
@@ -126,8 +119,8 @@ class TestResidual:
         p = make_norm_opt(3, 2, 3, seed=2)
         pt = PrimalDualPoint(np.ones(3), np.zeros((2, 3)))
         V = ActiveSet([(0, 0), (1, 2)], (2, 3))
-        J0 = smoothed_jacobian(p, pt, V, mu=0.0)
-        J1 = smoothed_jacobian(p, pt, V, mu=0.01)
+        J0 = references.smoothed_jacobian(p, pt, V, mu=0.0)
+        J1 = references.smoothed_jacobian(p, pt, V, mu=0.01)
         D = J0 - J1
         expect = np.zeros_like(D)
         expect[3:5, 3:5] = 0.01 * np.eye(2)
@@ -310,8 +303,7 @@ class TestTauStationary:
                      lambda: check_tau_stationary(problem, pt, 0.75, 1, tol=math.nan),
                      lambda: max_stationary_tau(problem, x, 1, ztol=math.nan),
                      lambda: column_partition(Z, ztol=math.nan),
-                     lambda: is_candidate_set(Z, 1, np.arange(10), ztol=math.nan),
-                     lambda: active_set(Z, np.arange(10), ztol=math.nan)):
+                     lambda: is_candidate_set(Z, 1, np.arange(10), ztol=math.nan)):
             with pytest.raises(ValueError, match="ztol must be >= 0"):
                 call()
 
