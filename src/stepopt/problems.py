@@ -19,12 +19,13 @@ once.  On the same samples the instance bounds G after a step
 (``G_step``): a per-column bound of the same kind proves most columns
 below a ceiling the caller sets per column at the new point, and G is
 evaluated only on the rest, with the same einsum over their gathered
-rows, so those columns are G bit for bit.  The envelope reads such
-bounds as they are; the exact model evaluates G with that einsum on the
-columns it models, over the rows it reads for its coefficients.  All
-three go through one function, which gives G as -b without reading any
-sample at a point whose squares are all zero, such as the solver's
-default start.
+rows, so those columns are G bit for bit.  G and G_step go through one
+function, which gives G as -b without reading any sample at a point whose
+squares are all zero, such as the solver's default start.  Of G(x) the
+violation model reads only the column maxima, in its envelope, where
+bounds serve as they are; the exact model takes G(x) on the columns it
+models from the one BLAS product that also gives its coefficients, read
+from each block of samples once.
 """
 from __future__ import annotations
 
@@ -77,17 +78,21 @@ _DEFAULT_LAMBDA1 = 0.5
 _DEFAULT_LAMBDA2 = 0.5
 # norm_opt_draw fills a buffer of about this many normals at a time
 _DRAW_CHUNK_ENTRIES = 1 << 17
-# The violation model multiplies the samples by its two direction vectors
-# in row blocks of about this many bytes, which stay in cache while BLAS
+# The violation model multiplies the samples by its vectors x*x, 2*x*d and
+# d*d in blocks of about this many bytes, which stay in cache while BLAS
 # reads them.  Over the 79 line searches of one K=50, M=20, N=2000 pool, a
-# model build took a median 5.3 ms with one product over all rows, 4.1-4.8
-# ms with blocks of 32-128 KiB, 3.7 ms at 256 KiB and 3.8-3.9 ms at 512
-# KiB-2 MiB (one BLAS thread, 2-vCPU Xeon, 2 MiB of L2 per core).
+# model build with the last two vectors alone took a median 5.3 ms with
+# one product over all rows, 4.1-4.8 ms with blocks of 32-128 KiB, 3.7 ms
+# at 256 KiB and 3.8-3.9 ms at 512 KiB-2 MiB (one BLAS thread, 2-vCPU
+# Xeon, 2 MiB of L2 per core).
 _MODEL_BLOCK_BYTES = 1 << 18
 # The model evaluates about this many entries of G at a time, so that its
 # temporaries stay a few times this size: every trial step at once on small
 # problems, a few at a time on large ones.  It caps only the size of those
 # temporaries; the bounds of every step come out the same at any value.
+# 2^16 replayed the 80 line searches of a K=50, M=20, N=2000 pool faster in
+# six of seven paired runs, but at K=50, M=20, N=200 its temporaries peak at
+# 0.68 MB, over a quarter of the 1.6 MB of samples, against 0.31 MB at 2^14.
 _MODEL_CHUNK_ENTRIES = 1 << 14
 
 
@@ -130,7 +135,9 @@ class ProblemInstance:
         the hook may leave any later step at (0, N).  The hook must
         describe this instance's own G, and reads ``alphas`` only when it
         is called.  A Z from ``G_step`` is read only as upper bounds on the
-        columns of G(x).
+        columns of G(x).  The norm-design instance reads Z only in its
+        envelope, as column maxima, and evaluates G(x) itself on the
+        columns it models.
     G_step : callable, optional
         ``G_step(x, d, alpha, Z, ceiling)``, with Z = G(x), or Z from an
         earlier ``G_step`` call, gives G(y) at the trial point
@@ -199,17 +206,18 @@ class NormOptInstance(ProblemInstance):
         return xi
 
 
-def _clear_steps(Z: np.ndarray, dmax: float, W: np.ndarray, b: float,
+def _clear_steps(z: np.ndarray, dmax: float, W: np.ndarray, b: float,
                  slack: float) -> np.ndarray:
     """Envelope thresholds of the violation model, one per column.
 
     Every entry of column n of G(x + a*d), as G evaluates it in floating
     point at the trial point ``x + a * d``, is below zero for every step
-    ``0 <= a < theta[n]``.  ``Z = G(x)``, ``dmax = ||d||_inf``, ``W`` the
-    column weights of the instance and ``slack`` its absolute slack.  The
-    caller keeps dmax and sqrt(b) at least _ENV_LO and Z + b at most
-    _SAFE_VAL; the weights lie in [_ENV_LO, _ENV_HI].  Then no quotient
-    below overflows and every threshold it keeps is a normal number.
+    ``0 <= a < theta[n]``.  ``z`` holds the column maxima of Z = G(x),
+    ``dmax = ||d||_inf``, ``W`` the column weights of the instance and
+    ``slack`` its absolute slack.  The caller keeps dmax and sqrt(b) at
+    least _ENV_LO and z + b at most _SAFE_VAL; the weights lie in
+    [_ENV_LO, _ENV_HI].  Then no quotient below overflows and every
+    threshold it keeps is a normal number.
     """
     # Fix an entry (m, n) with weights s_k = xi_sq[n, m, k] >= 0, so that
     # ||v|| = sqrt(sum_k s_k * v_k^2) is a seminorm and G(y) = ||y||^2 - b
@@ -244,7 +252,6 @@ def _clear_steps(Z: np.ndarray, dmax: float, W: np.ndarray, b: float,
     # which also covers the rounding of w, of the denominator and of the
     # two quotients.  A threshold below _ENV_LO, which is where a rounding
     # stops being relative, becomes 0, and so does a negative one.
-    z = Z.max(axis=0)
     r = np.add(z, b + slack)
     np.sqrt(r, out=r)
     r += math.sqrt(b)
@@ -296,11 +303,25 @@ def _step_bounds(z: np.ndarray, step: float, W: np.ndarray, b: float,
     return r
 
 
+def _column_max(Z: np.ndarray) -> np.ndarray:
+    """The column maxima of an (M, N) array, C-ordered first.
+
+    Over axis 0 numpy reduces a Fortran-ordered array, the layout of
+    ``_einsum_G``, in N short loops of M entries: at M=20, N=2000 the copy
+    and a C-ordered reduction took a third as long.  A C-ordered array is
+    not copied.
+    """
+    return np.ascontiguousarray(Z).max(axis=0)
+
+
 def _einsum_G(rows: np.ndarray, x: np.ndarray, b: float) -> np.ndarray:
     """G(x) of the norm-design instance on the columns whose samples are ``rows``.
 
     One einsum over the (L, M, K) sample rows, which gives each column of G
-    bit for bit whether ``rows`` holds every sample or gathered ones.  At a
+    bit for bit whether ``rows`` holds every sample or gathered ones, so
+    that ``G_step`` can mix gathered columns into a G it treats as exact.
+    The violation model does not call it: its own G(x) is a product summed
+    in another order, within the rounding its band allows for.  At a
     point whose squares are all zero, the origin, -0.0 entries and
     coordinates whose squares underflow alike, every product is +0 and G
     is -b: that is returned without reading ``rows``, in the einsum's own
@@ -313,21 +334,18 @@ def _einsum_G(rows: np.ndarray, x: np.ndarray, b: float) -> np.ndarray:
     return np.einsum("nmk,k->mn", rows, x2) - b
 
 
-def _column_model(xi_sq: np.ndarray, Z: Optional[np.ndarray], cols: Optional[np.ndarray],
-                  x: np.ndarray, xd: np.ndarray, b: float):
+def _column_model(xi_sq: np.ndarray, cols: Optional[np.ndarray], xd: np.ndarray, b: float):
     """The violation model over the columns ``cols`` of G, None meaning all.
 
-    When the model takes every column, ``Z`` is G(x), an (M, N) array, or
-    None; on gathered columns, and with None, the model evaluates G(x)
-    itself, with ``_einsum_G`` over the sample rows it reads, so that those
-    columns are G bit for bit.  ``xd``
-    holds the columns 2*x*d and d*d.  Returns (rows, bands): coefficient
-    rows (3, M*L), which give the entries of the model at step a in column
-    order as (1, a, a^2) @ rows, and band rows (2, L), which give each
-    column's band as (1, a^2) @ bands; or None when a coefficient passes
-    _SAFE_VAL.
+    ``xd`` holds the columns x*x, 2*x*d and d*d.  One product of each row
+    block of samples with ``xd`` gives G(x) + b, c1 and c2 together, so the
+    model reads each sample row once and evaluates G(x) itself.  Returns
+    (rows, bands): coefficient rows (3, M*L), which give the entries of the
+    model at step a in column order as (1, a, a^2) @ rows, and band rows
+    (2, L), which give each column's band as (1, a^2) @ bands; or None when
+    a coefficient passes _SAFE_VAL.
     """
-    # G(x + a*d) = Z + a*c1 + a^2*c2 entrywise, with c1 = 2*sum_k
+    # G(x + a*d) = Z + a*c1 + a^2*c2 entrywise, with Z = G(x), c1 = 2*sum_k
     # xi_sq*x*d and c2 = sum_k xi_sq*d^2.  In floating point every entry
     # of G at the trial point differs from the model, evaluated as a sum of
     # three products, by at most
@@ -339,39 +357,36 @@ def _column_model(xi_sq: np.ndarray, Z: Optional[np.ndarray], cols: Optional[np.
     # The K-term bound holds for any summation order, so it covers the
     # einsum in G, the BLAS products below whatever their blocking, and
     # fused multiply-adds, which round once where a product and a sum round
-    # twice.  Since (r0 + a*r2)^2 <= 2*r0^2 + 2*a^2*r2^2, the band e0 +
-    # a^2*e2 below covers that with room left for the rounding of the band
-    # itself; the absolute term covers gradual underflow.  Rounding keeps
-    # the sign of a sum, so a column whose largest model entry clears the
-    # band on either side has that sign in G too.
+    # twice.  The model's own Z is such a sum: the squares x*x, as G rounds
+    # them, weighted and summed by the product below, then ``- b``, so it
+    # needs no more room than G's own values would.  Since (r0 + a*r2)^2
+    # <= 2*r0^2 + 2*a^2*r2^2, the band e0 + a^2*e2 below covers that with
+    # room left for the rounding of the band itself; the absolute term
+    # covers gradual underflow.  Rounding keeps the sign of a sum, so a
+    # column whose largest model entry clears the band on either side has
+    # that sign in G too.
     N, M, K = xi_sq.shape
     L = N if cols is None else len(cols)
-    coef = np.empty((3, M, L))
-    cd = np.empty((L * M, 2))
-    # c1 and c2 from BLAS products, one per row block, which stays in cache
+    prod = np.empty((L * M, 3))
+    # One BLAS product per block of whole columns, which stays in cache
     # while it is read: the samples in place when the model takes every
-    # column, else the rows of whole columns gathered into one buffer.  Row
-    # n*M + m lands at (m, n), so that the column maxima below run over
-    # whole rows of L entries.  xd is in C order: with the Fortran-ordered
-    # transpose the blocks took as long as one product over all rows.  A
-    # product that overflows gives inf or nan, which the check of the
-    # column maxima below turns into None.  G(x) comes from Z or the einsum
-    # over all samples, or from the einsum over each gathered block.
-    if cols is None:
-        coef[0] = _einsum_G(xi_sq, x, b) if Z is None else Z
-        rows = xi_sq.reshape(N * M, K)
-        block = max(1, _MODEL_BLOCK_BYTES // (rows.itemsize * K))
-        for first in range(0, N * M, block):
-            np.dot(rows[first:first + block], xd, out=cd[first:first + block])
-    else:
-        block = max(1, _MODEL_BLOCK_BYTES // (xi_sq.itemsize * M * K))
-        buf = np.empty((min(block, L), M, K))
-        for first in range(0, L, block):
-            part = buf[:min(block, L - first)]
-            np.take(xi_sq, cols[first:first + block], axis=0, out=part)
-            np.dot(part.reshape(-1, K), xd, out=cd[first * M:(first + len(part)) * M])
-            coef[0, :, first:first + len(part)] = _einsum_G(part, x, b)
-    coef[1:] = cd.reshape(L, M, 2).transpose(2, 1, 0)
+    # column, else gathered into one buffer.  Row n*M + m lands at (m, n),
+    # so that the column maxima below run over whole rows of L entries.  xd
+    # is in C order: with the Fortran-ordered transpose the blocks took as
+    # long as one product over all rows.  A product that overflows gives
+    # inf or nan, which the check of the column maxima below turns into
+    # None.
+    block = max(1, _MODEL_BLOCK_BYTES // (xi_sq.itemsize * M * K))
+    buf = None if cols is None else np.empty((min(block, L), M, K))
+    for first in range(0, L, block):
+        part = xi_sq[first:first + block] if cols is None else buf[:min(block, L - first)]
+        if cols is not None:
+            # Every index is valid, and with ``out`` numpy buffers the
+            # default mode="raise", which made the gather three times slower.
+            np.take(xi_sq, cols[first:first + block], axis=0, out=part, mode="clip")
+        np.dot(part.reshape(-1, K), xd, out=prod[first * M:(first + len(part)) * M])
+    coef = prod.reshape(L, M, 3).transpose(2, 1, 0).copy()
+    coef[0] -= b
     # column maxima of |Z|, |c1| and c2
     mag = np.abs(coef).max(axis=1) if M > 1 else np.abs(coef[:, 0])
     if not mag.max() + b <= _SAFE_VAL:
@@ -473,7 +488,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
         y = x + alpha * d
-        z = Z.max(axis=0)
+        z = _column_max(Z)
         step = alpha * float(np.abs(d).max())
         if not (step >= _ENV_LO and z.max() + b <= _SAFE_VAL):
             return _einsum_G(xi_sq, y, b)
@@ -511,22 +526,25 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
         P = len(a)
         if not P:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-        # the columns 2*x*d and d*d, in C order
-        xd = np.empty((K, 2))
-        np.multiply(x, 2.0, out=xd[:, 0])
-        xd[:, 0] *= d
-        np.multiply(d, d, out=xd[:, 1])
+        # the columns x*x, 2*x*d and d*d, in C order
+        xd = np.empty((K, 3))
+        np.multiply(x, x, out=xd[:, 0])
+        np.multiply(x, 2.0, out=xd[:, 1])
+        xd[:, 1] *= d
+        np.multiply(d, d, out=xd[:, 2])
         dmax = 0.0 if W is None else float(np.abs(d).max())
-        if not (dmax >= _ENV_LO and Z.max() + b <= _SAFE_VAL):
+        # the column maxima of Z, all that the envelope reads of it
+        z = _column_max(Z) if dmax >= _ENV_LO else None
+        if z is None or not z.max() + b <= _SAFE_VAL:
             # without the envelope: every column, at every step
             with quiet:
-                model = _column_model(xi_sq, Z if W is None else None, None, x, xd, b)
+                model = _column_model(xi_sq, None, xd, b)
             return None if model is None else count(*model, None, powers)
         # S, the columns the model covers, is the first ``done`` columns of
         # ``order``, by increasing envelope threshold; ``unsafe[j]`` columns
         # of that order are not cleared by the envelope at step j, and those
         # outside S count as possible violators there.
-        theta = _clear_steps(Z, dmax, W, b, slack)
+        theta = _clear_steps(z, dmax, W, b, slack)
         # a column cleared at the largest step is cleared at every step
         order = np.flatnonzero(theta <= a[0])
         order = order[np.argsort(theta[order])]
@@ -541,7 +559,7 @@ def _build_norm_opt(xi: np.ndarray, b: float, lambda1: float, lambda2: float,
                 # place
                 cols = None if size == N and not done else order[done:size]
                 with quiet:
-                    model = _column_model(xi_sq, None, cols, x, xd, b)
+                    model = _column_model(xi_sq, cols, xd, b)
                 if model is None:
                     return None
                 part_lo, part_hi = count(*model, theta if cols is None else theta[cols], powers)

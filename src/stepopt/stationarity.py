@@ -45,6 +45,14 @@ __all__ = [
 _RANK_TOL = 1e-10
 
 
+def _index(v) -> int:
+    """An index of an active-set pair as an int; a float, which int() would
+    truncate, a bool or any other type raises ValueError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"active-set index {v!r} is not an integer")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class PrimalDualPoint:
     """Decision vector x (K,) paired with a multiplier matrix W (M, N)."""
@@ -63,12 +71,13 @@ class ActiveSet:
     the column-major flattening ``W.T.ravel()``; ``pairs`` gives the same
     positions as a tuple of (row, col) int pairs.  The entries of a matrix
     off the set are ``np.delete(W.T.ravel(), V.flat)``, in column-major
-    order.
+    order.  The indices of ``pairs`` are ints or NumPy integers; a bool, a
+    float or anything else raises ValueError.
     """
 
     def __init__(self, pairs, shape):
         M, N = shape
-        pairs = [(int(m), int(n)) for m, n in pairs]
+        pairs = [(_index(m), _index(n)) for m, n in pairs]
         seen = sorted(set(pairs), key=lambda p: (p[1], p[0]))
         if len(seen) != len(pairs):
             raise ValueError("duplicate (row, col) pairs in active set")

@@ -267,6 +267,35 @@ def test_model_bounds_hold_in_every_chunk(shape, seed, point, scale, b, chunk, c
         assert l <= step_norm(problem.G(x + a * d)) <= h
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(BLOCK_SHAPES), seed=st.integers(0, 3),
+       point=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-3, 0.3, 1.0, 3.0, 1e3]),
+       b=st.sampled_from([1e-3, 20.0, 80.0, 1e4]), gathered=st.booleans())
+def test_model_entries_are_within_their_band_of_G(shape, seed, point, scale, b, gathered):
+    # The rounding bound of the model, entry by entry: at every trial step
+    # a, each entry of G(x + a*d) differs from the model's (1, a, a^2) @
+    # rows, evaluated as count evaluates it, by at most the band of its
+    # column.  The model's own G(x), a BLAS product summed in another order
+    # than G's einsum, is part of what the band covers.  The columns are
+    # read in place or gathered over several blocks, and x and d range over
+    # six orders of magnitude.
+    M, N = shape
+    problem = make_norm_opt(BLOCK_K, M, N, b=b, seed=seed)
+    rng = np.random.default_rng(point)
+    x = rng.uniform(-1.5, 1.5, BLOCK_K) * scale
+    d = rng.standard_normal(BLOCK_K) * scale
+    cols = np.sort(rng.choice(N, int(rng.integers(1, N + 1)), replace=False)) if gathered else None
+    xd = np.stack([x * x, 2.0 * x * d, d * d], axis=1)
+    rows, bands = problems_mod._column_model(problem.xi_sq, cols, xd, b)
+    steps = np.append(solver_mod._STEPS, 0.0)
+    powers = np.stack([np.ones_like(steps), steps, steps * steps], axis=1)
+    top = (powers @ rows).reshape(len(steps), M, -1)
+    band = powers[:, ::2] @ bands
+    for a, model, e in zip(steps, top, band):
+        G = problem.G(x + a * d)
+        assert (np.abs((G if cols is None else G[:, cols]) - model) <= e).all()
+
+
 def test_model_bounds_do_not_depend_on_the_chunk_size():
     # The chunk size caps only the size of count's temporaries: with the
     # envelope, at every step and cap, (lo, hi) come out the same at the
@@ -329,9 +358,9 @@ def model_builds(monkeypatch):
     builds = []
     plain = problems_mod._column_model
 
-    def recorded(xi_sq, Z, cols, x, xd, b):
+    def recorded(xi_sq, cols, xd, b):
         builds.append(xi_sq.shape[0] if cols is None else len(cols))
-        return plain(xi_sq, Z, cols, x, xd, b)
+        return plain(xi_sq, cols, xd, b)
 
     monkeypatch.setattr(problems_mod, "_column_model", recorded)
     return builds

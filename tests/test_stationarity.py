@@ -53,6 +53,16 @@ class TestActiveSet:
         with pytest.raises(ValueError):
             ActiveSet([(2, 0)], (2, 2))
 
+    def test_rejects_indices_that_are_not_integers(self):
+        # int() would truncate these to the pair (0, 1)
+        for pair in ((0.7, 1.9), (0.0, 1.0), (np.float64(0.0), 1), (False, True), (0, np.True_),
+                     ("0", 1)):
+            with pytest.raises(ValueError, match="not an integer"):
+                ActiveSet([pair], (2, 2))
+        V = ActiveSet([(np.int64(1), np.int32(0)), (np.uint8(0), 1)], (2, 2))
+        assert V.pairs == ((1, 0), (0, 1))
+        assert all(type(i) is int for pair in V.pairs for i in pair)
+
     def test_from_lambda_matrix(self):
         # W = 0 and all zero-max columns: active positions are the zeros
         p = make_counterexample()
